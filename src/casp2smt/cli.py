@@ -1,6 +1,9 @@
 """Command-line entry point.
 
 Exit codes: 0 satisfiable, 1 unsatisfiable, 2 unknown, 10 and up for errors.
+Unknown (2) is also the code of an enumeration cut short: when a solver call
+ends in 'unknown' or a timeout after some answers were found, those answers
+are still printed, but the list may be incomplete.
 """
 
 from __future__ import annotations
@@ -124,7 +127,6 @@ def config_from_args(args: argparse.Namespace) -> SolveConfig:
         emit_path=args.emit_smtlib,
         ranking_full=args.ranking == "full",
         bound_ranks=args.bound_ranks,
-        output_format=args.format,
     )
 
 

@@ -4,9 +4,8 @@ from __future__ import annotations
 
 from typing import AbstractSet, Iterable, Optional
 
-from .errors import HeadsIntersectInput
 from .formula import BOTTOM, Atom, Not, PropFormula, conj, disj, implies
-from .program import AtomId, Program, Rule, heads
+from .program import AtomId, Program, Rule, require_heads_outside_input
 
 
 def body_formula(r: Rule) -> PropFormula:
@@ -25,7 +24,7 @@ def rule_implication(r: Rule) -> PropFormula:
 
 def bodies_of(p: Program, a: AtomId) -> list[PropFormula]:
     """Body formulas of all rules with head a, in rule order."""
-    return [body_formula(r) for r in p.rules if r.head == a]
+    return [body_formula(r) for r in p.rules_by_head.get(a, ())]
 
 
 def _support(p: Program, a: AtomId) -> PropFormula:
@@ -46,11 +45,7 @@ def input_completion(
 ) -> PropFormula:
     """Like the completion, but support implications are emitted only for
     atoms outside the input vocabulary."""
-    if heads(p) & iota:
-        raise HeadsIntersectInput(
-            f"head atoms also appear in the input vocabulary: "
-            f"{sorted(a.name for a in heads(p) & iota)}"
-        )
+    require_heads_outside_input(p, iota)
     names = sorted(set(vocab) if vocab is not None else set(p.atoms))
     conjuncts = [rule_implication(r) for r in p.rules]
     conjuncts += [_support(p, a) for a in names if a not in iota]

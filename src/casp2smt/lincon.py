@@ -145,8 +145,9 @@ class LinearConstraint:
         rel = self.rel.complement if self.negated else self.rel
         expr, bound = self.expr, self.bound
         if expr.terms:
-            scale = Fraction(lcm(bound.denominator, *(c.denominator for _, c in expr.terms)))
-            expr, bound = expr.scaled(scale), bound * scale
+            scale = lcm(bound.denominator, *(c.denominator for _, c in expr.terms))
+            if scale > 1:
+                expr, bound = expr.scaled(Fraction(scale)), bound * scale
             g = gcd(int(bound), *(int(c) for _, c in expr.terms))
             if g > 1:
                 expr, bound = expr.scaled(Fraction(1, g)), bound / g

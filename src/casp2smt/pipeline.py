@@ -72,7 +72,6 @@ class SolveConfig:
     bound_ranks: bool = False
     oracle_cap: int = ORACLE_CAP
     timeout: float = 60.0
-    output_format: str = "text"
 
 
 @dataclass
@@ -186,8 +185,7 @@ def _encode(p: Program, cfg: SolveConfig, use_ranking: bool):
         ranking = build_ranking_formula(p, sigma_i, full=cfg.ranking_full)
         formula = conj([formula, ranking.formula])
         gamma.update(ranking.gamma)
-    clauses = to_clauses(formula)
-    script = emit_script(clauses, gamma, cfg.logic)
+    script = emit_script(to_clauses(formula), gamma, cfg.logic)
     extra: list[str] = []
     program_vars = lincon.constraint_variables(c for _, c in p.gamma)
     if cfg.var_box is not None:
@@ -203,7 +201,7 @@ def _encode(p: Program, cfg: SolveConfig, use_ranking: bool):
         extra += [box_assert(v, 0, len(p.atoms)) for v in rank_vars]
     if extra:
         script = script.with_asserts(extra)
-    return clauses, script, program_vars
+    return script, program_vars
 
 
 def _solve_oracle(p: Program, cfg: SolveConfig, report: SolveReport) -> None:
@@ -238,15 +236,19 @@ def _solve_oracle(p: Program, cfg: SolveConfig, report: SolveReport) -> None:
     report.status = Status.SAT if report.results else Status.UNSAT
 
 
-def _solve_smt(p: Program, cfg: SolveConfig, report: SolveReport, clauses, script, program_vars) -> None:
+def _solve_smt(p: Program, cfg: SolveConfig, report: SolveReport, script, program_vars) -> None:
+    """Enumerate through the external solver, one call per answer. A call
+    that ends in UNKNOWN (a solver 'unknown' or a timeout) makes the report
+    UNKNOWN and keeps the answers found before it."""
     cmd = cfg.solver_cmd or os.environ.get(SOLVER_ENV_VAR)
     if not cmd:
         raise SolverSpawnFailure(
             "no SMT solver configured; pass --solver, set "
             f"{SOLVER_ENV_VAR}, or use --oracle"
         )
+    program_atoms = set(p.atoms)
     atom_scope = [
-        symbol for a, symbol in script.atom_symbols if a in set(p.atoms)
+        symbol for a, symbol in script.atom_symbols if a in program_atoms
     ]
     value_scope: Sequence[str] = ()
     if cfg.extended and cfg.var_box is not None:
@@ -258,12 +260,10 @@ def _solve_smt(p: Program, cfg: SolveConfig, report: SolveReport, clauses, scrip
         if outcome.status is Status.UNSAT:
             break
         if outcome.status is Status.UNKNOWN:
-            if not report.results:
-                report.status = Status.UNKNOWN
-                return
-            break
+            report.status = Status.UNKNOWN
+            return
         assert outcome.model is not None
-        x, valuation = decode(outcome.model, clauses, p.atoms)
+        x, valuation = decode(outcome.model, current, program_atoms)
         report.results.append(
             AnswerResult(_ordered(p, x), valuation if cfg.extended else None)
         )
@@ -296,15 +296,15 @@ def solve(p: Program, cfg: Optional[SolveConfig] = None) -> SolveReport:
         results=[],
         status=Status.UNKNOWN,
     )
-    clauses = script = program_vars = None
+    script = program_vars = None
     if cfg.emit_path is not None or not cfg.oracle_only:
-        clauses, script, program_vars = _encode(p, cfg, use_ranking)
+        script, program_vars = _encode(p, cfg, use_ranking)
     if cfg.emit_path is not None:
         Path(cfg.emit_path).write_text(script.text, encoding="utf-8")
     if cfg.oracle_only:
         _solve_oracle(p, cfg, report)
     else:
-        _solve_smt(p, cfg, report, clauses, script, program_vars)
+        _solve_smt(p, cfg, report, script, program_vars)
     return report
 
 

@@ -32,6 +32,11 @@ class AtomId:
     name: str
     kind: AtomKind
 
+    def __hash__(self) -> int:
+        # equal atoms have equal names; hashing the kind as well would go
+        # through the Python-level Enum.__hash__ on every set or dict lookup
+        return hash(self.name)
+
     def __lt__(self, other: "AtomId") -> bool:
         return self.name < other.name
 
@@ -107,6 +112,15 @@ class Program:
         return tuple(seen)
 
     @cached_property
+    def rules_by_head(self) -> dict[AtomId, Tuple[Rule, ...]]:
+        """Rules of each nonempty head, in rule order; denials are left out."""
+        index: dict[AtomId, list[Rule]] = {}
+        for r in self.rules:
+            if r.head is not None:
+                index.setdefault(r.head, []).append(r)
+        return {a: tuple(rs) for a, rs in index.items()}
+
+    @cached_property
     def irregular_atoms(self) -> frozenset[AtomId]:
         return frozenset(a for a, _ in self.gamma)
 
@@ -119,7 +133,18 @@ class Program:
 
 def heads(p: Program) -> frozenset[AtomId]:
     """All nonempty heads."""
-    return frozenset(r.head for r in p.rules if r.head is not None)
+    return frozenset(p.rules_by_head)
+
+
+def require_heads_outside_input(p: Program, iota: AbstractSet[AtomId]) -> None:
+    """Input atoms are never defined by the program: raise
+    :class:`HeadsIntersectInput` when a rule head is also an input atom."""
+    clash = heads(p) & iota
+    if clash:
+        raise HeadsIntersectInput(
+            f"head atoms also appear in the input vocabulary: "
+            f"{sorted(a.name for a in clash)}"
+        )
 
 
 def satisfies_rule(x: AbstractSet[AtomId], r: Rule) -> bool:
@@ -210,11 +235,7 @@ def input_answer_sets(
 ) -> list[frozenset[AtomId]]:
     """All x over the program's atoms that are answer sets once x's input
     part is added back as facts."""
-    if heads(p) & iota:
-        raise HeadsIntersectInput(
-            f"head atoms also appear in the input vocabulary: "
-            f"{sorted(a.name for a in heads(p) & iota)}"
-        )
+    require_heads_outside_input(p, iota)
     found = []
     for x in _candidates(p.atoms, cap):
         pairs = _reduct_pairs(p.rules, x) + [(a, frozenset()) for a in x & iota]

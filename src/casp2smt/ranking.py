@@ -14,15 +14,17 @@ from fractions import Fraction
 from typing import AbstractSet, Mapping, Optional, Tuple
 
 from .completion import body_formula
-from .errors import (
-    HeadsIntersectInput,
-    OracleCapExceeded,
-    PartialRanking,
-    RankVarForIrregular,
-)
+from .errors import OracleCapExceeded, PartialRanking, RankVarForIrregular
 from .formula import Atom, PropFormula, conj, disj, implies
 from .lincon import LinearConstraint, LinExpr, Rel
-from .program import ORACLE_CAP, AtomId, AtomKind, Program, Rule, heads
+from .program import (
+    ORACLE_CAP,
+    AtomId,
+    AtomKind,
+    Program,
+    Rule,
+    require_heads_outside_input,
+)
 
 RANK_PREFIX = "__lr_"
 
@@ -42,8 +44,7 @@ def check_level_ranking(p: Program, x: AbstractSet[AtomId], lr: LevelRanking) ->
     for a in x:
         if not any(
             _body_satisfied(r, x) and all(lr[a] - 1 >= lr[b] for b in r.pos)
-            for r in p.rules
-            if r.head == a
+            for r in p.rules_by_head.get(a, ())
         ):
             return False
     return True
@@ -54,11 +55,7 @@ def check_input_level_ranking(
 ) -> bool:
     """Ranking condition relative to an input vocabulary: only non-input atoms
     are ranked, and input atoms in a body never constrain the ranking."""
-    if heads(p) & iota:
-        raise HeadsIntersectInput(
-            f"head atoms also appear in the input vocabulary: "
-            f"{sorted(a.name for a in heads(p) & iota)}"
-        )
+    require_heads_outside_input(p, iota)
     ranked = set(x) - set(iota)
     missing = ranked - set(lr)
     if missing:
@@ -67,8 +64,7 @@ def check_input_level_ranking(
         if not any(
             _body_satisfied(r, x)
             and all(lr[a] - 1 >= lr[b] for b in r.pos - iota)
-            for r in p.rules
-            if r.head == a
+            for r in p.rules_by_head.get(a, ())
         ):
             return False
     return True
@@ -85,8 +81,8 @@ def _stratify(
     while True:
         added = False
         for a in target - levels.keys():
-            for r in p.rules:
-                if r.head != a or not _body_satisfied(r, x):
+            for r in p.rules_by_head.get(a, ()):
+                if not _body_satisfied(r, x):
                     continue
                 support = r.pos - iota
                 if support <= levels.keys() and all(levels[b] < stage for b in support):
@@ -116,11 +112,7 @@ def exists_input_level_ranking(
 ) -> bool:
     if len(x) > cap:
         raise OracleCapExceeded(len(x), cap)
-    if heads(p) & iota:
-        raise HeadsIntersectInput(
-            f"head atoms also appear in the input vocabulary: "
-            f"{sorted(a.name for a in heads(p) & iota)}"
-        )
+    require_heads_outside_input(p, iota)
     return _stratify(p, x, iota) is not None
 
 
@@ -179,11 +171,7 @@ def build_ranking_formula(
     are skipped; their implications repeat the completion's support formula.
     With ``full=True`` every non-input vocabulary atom gets its implication.
     """
-    if heads(p) & iota:
-        raise HeadsIntersectInput(
-            f"head atoms also appear in the input vocabulary: "
-            f"{sorted(a.name for a in heads(p) & iota)}"
-        )
+    require_heads_outside_input(p, iota)
     names = sorted(set(vocab) if vocab is not None else set(p.atoms))
     var_names: dict[AtomId, str] = {}
     used: set[str] = set()
@@ -210,7 +198,7 @@ def build_ranking_formula(
     for a in names:
         if a in iota:
             continue
-        bodies = [r for r in p.rules if r.head == a]
+        bodies = p.rules_by_head.get(a, ())
         recursive = [r for r in bodies if r.pos - iota]
         flat = [r for r in bodies if not (r.pos - iota)]
         if not recursive and not full:

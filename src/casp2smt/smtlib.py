@@ -346,13 +346,15 @@ def block_model(
     """Add one assertion excluding the model's assignment over the scope.
     An empty scope blocks everything, ending enumeration."""
     lits = []
+    bools = frozenset(s.bool_symbols)
     for symbol in sorted(set(scope)):
-        if symbol not in s.bool_symbols:
+        if symbol not in bools:
             raise UnknownSymbol(f"{symbol} is not a declared boolean")
         lits.append(symbol if m.bools.get(symbol, False) else f"(not {symbol})")
     int_sort = s.num_sort == "Int"
+    nums = frozenset(s.num_symbols)
     for symbol in sorted(set(num_scope)):
-        if symbol not in s.num_symbols:
+        if symbol not in nums:
             raise UnknownSymbol(f"{symbol} is not a declared numeric symbol")
         value = render_number(m.nums.get(symbol, Fraction(0)), int_sort)
         lits.append(f"(= {symbol} {value})")
@@ -364,15 +366,15 @@ def block_model(
 
 
 def decode(
-    m: SmtModel, clauses: ClauseSet, vocab: Iterable[AtomId]
+    m: SmtModel, s: SmtScript, vocab: Iterable[AtomId]
 ) -> tuple[frozenset[AtomId], dict[str, Fraction]]:
-    """Project a solver model back onto program atoms and constraint
-    variables; definitional atoms and rank variables are dropped."""
-    table = symbol_table(clauses.atoms())
+    """Project a solver model of the script back onto program atoms and
+    constraint variables, through the script's own symbol table;
+    definitional atoms and rank variables are dropped."""
     wanted = set(vocab)
     x = frozenset(
         a
-        for a, symbol in table.items()
+        for a, symbol in s.atom_symbols
         if a in wanted and m.bools.get(symbol, False)
     )
     valuation = {

@@ -1,9 +1,12 @@
 import json
 import random
+import sys
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from casp2smt import cli
 from casp2smt.errors import InconsistentConfig, NotTight
 from casp2smt.lincon import LexiconKind
 from casp2smt.parser import parse_program
@@ -218,6 +221,46 @@ class TestSmtSolve:
         text = target.read_text()
         assert text.startswith("(set-logic QF_LIA)\n")
         assert "(assert (= b__x_ge_12 (>= x 12)))" in text
+
+
+def stalling_solver(directory) -> str:
+    """A fake solver that answers its first call with a model where only
+    ``a`` holds, then sleeps past any short timeout on every later call."""
+    path = directory / "stalling_solver.py"
+    path.write_text(
+        "import pathlib, sys, time\n"
+        "sys.stdin.read()\n"
+        f"mark = pathlib.Path({str(directory / 'called')!r})\n"
+        "if mark.exists():\n"
+        "    time.sleep(30)\n"
+        "mark.touch()\n"
+        "print('sat')\n"
+        "print('(model (define-fun a () Bool true))')\n"
+    )
+    return f"{sys.executable} {path}"
+
+
+CHOICES = "{a}.\n{b}.\n"
+
+
+class TestPartialEnumeration:
+    """A timeout after some answers keeps them and reports UNKNOWN."""
+
+    def test_report_keeps_answers_and_is_unknown(self, tmp_path):
+        cmd = stalling_solver(tmp_path)
+        report = solve(parse_program(CHOICES), SolveConfig(solver_cmd=cmd, enumerate=0, timeout=1.0))
+        assert report.status is Status.UNKNOWN
+        assert result_families(report) == {frozenset({"a"})}
+
+    def test_cli_prints_answers_and_exits_unknown(self, tmp_path, capsys, monkeypatch):
+        # the CLI has no timeout flag; shorten the default it passes on
+        from_args = cli.config_from_args
+        monkeypatch.setattr(cli, "config_from_args", lambda args: replace(from_args(args), timeout=1.0))
+        program = tmp_path / "choices.lp"
+        program.write_text(CHOICES)
+        code = cli.main([str(program), "--solver", stalling_solver(tmp_path), "--enumerate", "0"])
+        assert code == cli.EXIT_UNKNOWN
+        assert capsys.readouterr().out == "Answer 1: a\n"
 
 
 class TestRenderReport:

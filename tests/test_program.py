@@ -21,7 +21,7 @@ from casp2smt.program import (
 )
 
 from .conftest import families, names
-from .randprog import random_program
+from .randprog import random_cas_program, random_program
 
 a, b_, switch, light, am = map(atom, ("a", "b", "switch", "lightOn", "am"))
 
@@ -176,6 +176,16 @@ class TestHeads:
 
     def test_empty(self):
         assert heads(Program(())) == frozenset()
+
+    def test_rules_by_head_matches_a_scan_in_rule_order(self):
+        # rule order fixes the order of disjuncts, and so the script bytes
+        rng = random.Random(61)
+        for _ in range(200):
+            p = random_cas_program(rng, max_atoms=8, max_rules=14)
+            for x in p.atoms:
+                assert p.rules_by_head.get(x, ()) == tuple(r for r in p.rules if r.head == x)
+            assert None not in p.rules_by_head
+            assert heads(p) == frozenset(r.head for r in p.rules if r.head is not None)
 
 
 class TestProgramInvariants:

@@ -1,0 +1,73 @@
+"""Byte-identity gate for the emitted SMT-LIB.
+
+The SHA-256 of the script ``solve`` writes is pinned for the paper's program
+PI1 and for a reachability ring with chords. A change that sets out to alter
+the encoding updates these pins and says so; any other change must leave
+them untouched.
+"""
+
+import hashlib
+import sys
+
+import pytest
+
+from casp2smt.parser import parse_program
+from casp2smt.pipeline import Mode, SolveConfig, solve
+
+from .conftest import PI1
+
+
+def ring_text(n: int) -> str:
+    """Reachability from node 0 on a ring of n nodes: successor edges are
+    choices, chords to the opposite node are facts, and each node's
+    constraint atom holds exactly when the node is reached."""
+    lines = ["r_0."]
+    edges = []
+    for i in range(n):
+        succ, chord = (i + 1) % n, (i + n // 2) % n
+        lines.append(f"{{e_{i}_{succ}}}.")
+        lines.append(f"e_{i}_{chord}.")
+        edges += [(i, succ), (i, chord)]
+    lines += [f"r_{j} :- r_{i}, e_{i}_{j}." for i, j in edges]
+    for i in range(n):
+        level = f"|x_{i} >= {i % 7}|"
+        lines.append(f":- r_{i}, not {level}.")
+        lines.append(f":- {level}, not r_{i}.")
+    return "\n".join(lines) + "\n"
+
+
+RING12 = ring_text(12)
+
+PINS = {
+    ("PI1", Mode.AUTO, False):
+        "f41f1a850f75ed6216214074cf2ec228f2832de021dc28a2a769dbfd7f9e3e4d",
+    ("PI1", Mode.FORCE_RANKING, False):
+        "ece93325ba2c97e90eca804543b706f3a3063f9e070671452cdd0d3686396799",
+    ("PI1", Mode.FORCE_RANKING, True):
+        "14ad164a83e8f20c73316c9478c72622ef7141cf7bfb6472ab8e20cc6e2355f6",
+    ("RING12", Mode.AUTO, False):
+        "d33aa008cfaa204f34339631117673038ba281709ab841bbdd5cca3134eedde1",
+    ("RING12", Mode.AUTO, True):
+        "fc244898dd535587b251d43a7c203228dc890ed4822573729c5b8f4cd477c0ff",
+}
+
+TEXTS = {"PI1": PI1, "RING12": RING12}
+
+
+@pytest.fixture(scope="module")
+def stub_solver(tmp_path_factory) -> str:
+    """A solver that reads its script and answers ``unknown`` at once."""
+    path = tmp_path_factory.mktemp("stub") / "stub.py"
+    path.write_text("import sys\nsys.stdin.read()\nprint('unknown')\n")
+    return f"{sys.executable} {path}"
+
+
+@pytest.mark.parametrize("name,mode,full", sorted(PINS, key=str))
+def test_script_hash_is_pinned(name, mode, full, stub_solver, tmp_path):
+    target = tmp_path / "out.smt2"
+    solve(
+        parse_program(TEXTS[name]),
+        SolveConfig(solver_cmd=stub_solver, mode=mode, ranking_full=full, emit_path=target),
+    )
+    digest = hashlib.sha256(target.read_bytes()).hexdigest()
+    assert digest == PINS[(name, mode, full)]

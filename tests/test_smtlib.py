@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -101,6 +102,17 @@ class TestParseModel:
         assert m.nums == {"r": Fraction(9, 2), "s": Fraction(-1, 4)}
 
 
+# a regular atom spelled like the symbol of a constraint atom: the two share
+# the base name b__x_ge_1, so the constraint atom's symbol gets a suffix
+COLLIDING = "{b__x_ge_1}.\nok :- b__x_ge_1, |x >= 1|.\n:- not ok.\n"
+
+
+def colliding_script():
+    p = parse_program(COLLIDING)
+    clauses = to_clauses(input_completion(p, p.irregular_atoms))
+    return p, clauses, emit_script(clauses, p.gamma_map, INT)
+
+
 class TestBlockModel:
     def test_blocking_assertion(self):
         script = SmtScript("QF_LIA", ("a", "b"), (), (), ())
@@ -118,6 +130,18 @@ class TestBlockModel:
         with pytest.raises(UnknownSymbol):
             block_model(script, SmtModel({}, {}), ["zzz"])
 
+    def test_symbol_collision_scope(self):
+        p, _, script = colliding_script()
+        scope = [sym for a, sym in script.atom_symbols if a in set(p.atoms)]
+        assert "b__x_ge_1" in scope and "b__x_ge_1_1" in scope
+        m = SmtModel({"b__x_ge_1": True, "b__x_ge_1_1": False, "ok": True}, {})
+        blocked = block_model(script, m, scope)
+        assert blocked.asserts[-1] == "(assert (not (and b__x_ge_1 (not b__x_ge_1_1) ok)))"
+        with pytest.raises(UnknownSymbol):
+            block_model(script, m, scope + ["b__x_ge_1_2"])
+        with pytest.raises(UnknownSymbol):
+            block_model(script, m, scope, ["b__x_ge_1"])
+
     def test_numeric_scope(self):
         script = SmtScript("QF_LIA", ("a",), ("x",), (), ())
         m = SmtModel({"a": True}, {"x": Fraction(-7)})
@@ -126,6 +150,17 @@ class TestBlockModel:
 
 
 class TestDecode:
+    def test_symbol_collision_decodes_through_the_script_table(self):
+        p, clauses, script = colliding_script()
+        table = symbol_table(clauses.atoms())
+        assert script.symbol_of == table
+        assert table[atom("b__x_ge_1")] == "b__x_ge_1"
+        assert table[atom("|x>=1|")] == "b__x_ge_1_1"
+        for bits in itertools.product((False, True), repeat=len(script.bool_symbols)):
+            m = SmtModel(dict(zip(script.bool_symbols, bits)), {"x": Fraction(1)})
+            x, _ = decode(m, script, p.atoms)
+            assert x == {a for a, sym in table.items() if a in set(p.atoms) and m.bools[sym]}
+
     def test_fresh_and_rank_symbols_are_dropped(self, pi1_text):
         p, clauses, script = pi1_script(pi1_text)
         m = SmtModel(
@@ -137,12 +172,12 @@ class TestDecode:
         m.bools["b__x_ge_12"] = True
         for fresh in clauses.fresh_atoms:
             m.bools[fresh.name] = True
-        x, valuation = decode(m, clauses, p.atoms)
+        x, valuation = decode(m, script, p.atoms)
         assert sorted(at.name for at in x) == ["lightOn", "switch", "|x>=12|"]
         assert valuation == {"x": Fraction(12)}
 
     def test_empty_vocabulary(self):
-        x, valuation = decode(SmtModel({}, {}), ClauseSet((), frozenset()), [])
+        x, valuation = decode(SmtModel({}, {}), SmtScript("QF_LIA", (), (), (), ()), [])
         assert x == frozenset() and valuation == {}
 
 
@@ -161,6 +196,40 @@ class TestRunSolver:
         assert result.status is Status.SAT
         assert Fraction(4) < result.model.nums["x"] < Fraction(5)
 
+    def test_variable_only_in_a_disequality_gets_a_value(self, solver_cmd):
+        script = SmtScript("QF_LIA", (), ("x",), ("(assert (not (= x 0)))",), ())
+        result = run_solver(script, solver_cmd)
+        assert result.status is Status.SAT
+        assert result.model.nums["x"] != 0
+
+    def test_blocked_values_leave_the_last_pair(self, solver_cmd):
+        box = ["(assert (and (<= 0 x) (<= x 3)))", "(assert (and (<= 0 y) (<= y 3)))"]
+        blocked = [
+            f"(assert (not (and (= x {i}) (= y {j}))))"
+            for i in range(4)
+            for j in range(4)
+            if (i, j) != (2, 1)
+        ]
+        script = SmtScript("QF_LIA", (), ("x", "y"), tuple(box + blocked), ())
+        result = run_solver(script, solver_cmd, timeout=30.0)
+        assert result.status is Status.SAT
+        assert (result.model.nums["x"], result.model.nums["y"]) == (2, 1)
+        last = "(assert (not (and (= x 2) (= y 1))))"
+        full = SmtScript("QF_LIA", (), ("x", "y"), tuple(box + blocked + [last]), ())
+        assert run_solver(full, solver_cmd, timeout=30.0).status is Status.UNSAT
+
+    def test_real_disequality_at_a_bound(self, solver_cmd):
+        script = SmtScript(
+            "QF_LRA",
+            (),
+            ("x",),
+            ("(assert (<= 4.0 x))", "(assert (<= x 5.0))", "(assert (not (= x 4.0)))"),
+            (),
+        )
+        result = run_solver(script, solver_cmd)
+        assert result.status is Status.SAT
+        assert Fraction(4) < result.model.nums["x"] <= Fraction(5)
+
     def test_empty_script_is_sat(self, solver_cmd):
         result = run_solver(SmtScript("QF_LIA", (), (), (), ()), solver_cmd)
         assert result.status is Status.SAT
@@ -176,7 +245,7 @@ class TestBridgeFaithfulness:
         p, clauses, script = pi1_script(pi1_text)
         result = run_solver(script, solver_cmd)
         assert result.status is Status.SAT
-        x, valuation = decode(result.model, clauses, p.atoms)
+        x, valuation = decode(result.model, script, p.atoms)
         assert sorted(at.name for at in x) == ["lightOn", "switch", "|x>=12|"]
         assert Fraction(12) <= valuation["x"] <= Fraction(23)
 
@@ -203,7 +272,7 @@ class TestBridgeFaithfulness:
                 result = run_solver(current, solver_cmd)
                 if result.status is not Status.SAT:
                     break
-                x, _ = decode(result.model, clauses, p.atoms)
+                x, _ = decode(result.model, current, p.atoms)
                 seen.append(x)
                 current = block_model(current, result.model, scope)
             from casp2smt.pipeline import constraint_models

@@ -387,18 +387,30 @@ def row_holds(row, assignment):
     return total < k if strict else total <= k
 
 
-def integer_search(stages):
+def integer_search(stages, disequalities=()):
     """Assign integers in reverse elimination order: at each stage the
     remaining variable is bounded by rows over already-assigned variables,
-    so intervals stay tight and backtracking is rare."""
+    so intervals stay tight and backtracking is rare. Disequalities
+    (coeffs, k), meaning coeffs . x != k, are a filter: each is checked as
+    soon as its last variable is assigned."""
+    order = [var for var, _ in stages]
+    last = {}  # stage index -> disequalities it completes
+    for coeffs, k in disequalities:
+        last.setdefault(min(order.index(v) for v in coeffs), []).append((coeffs, k))
 
     def descend(i, partial):
         if i < 0:
             return dict(partial)
         var, rows = stages[i]
         lo, ls, hi, hs = var_interval(rows, var, partial)
+        checks = last.get(i, ())
         for value in int_candidates(lo, ls, hi, hs):
             partial[var] = Fraction(value)
+            if any(
+                sum(c * partial[v] for v, c in coeffs.items()) == k
+                for coeffs, k in checks
+            ):
+                continue
             found = descend(i - 1, partial)
             if found is not None:
                 return found
@@ -425,24 +437,32 @@ def real_backsolve(stages):
 
 
 def solve_constraints(constraints, integer_mode):
-    """Exact over the rationals; integer witnesses searched in the window."""
-    disequalities = [c for c in constraints if c[1] == "!="]
+    """Exact over the rationals; integer witnesses searched in the window.
+    Over the integers a disequality filters the search; over the reals it
+    splits into < or >."""
+    disequalities = [(c, k) for c, op, k in constraints if op == "!="]
     others = [c for c in constraints if c[1] != "!="]
-    if disequalities:
-        coeffs, _, const = disequalities[0]
-        rest = others + disequalities[1:]
+    if any(not coeffs and k == 0 for coeffs, k in disequalities):
+        return None  # 0 != 0
+    disequalities = [(coeffs, k) for coeffs, k in disequalities if coeffs]
+    if disequalities and not integer_mode:
+        (coeffs, const), rest = disequalities[0], disequalities[1:]
+        others += [(c, "!=", k) for c, k in rest]
         for op in ("<", ">"):
-            found = solve_constraints(rest + [(coeffs, op, const)], integer_mode)
+            found = solve_constraints(others + [(coeffs, op, const)], integer_mode)
             if found is not None:
                 return found
         return None
     rows = normalize(others)
-    variables = sorted({v for coeffs, _, _ in rows for v in coeffs})
+    variables = sorted(
+        {v for coeffs, _, _ in rows for v in coeffs}
+        | {v for coeffs, _ in disequalities for v in coeffs}
+    )
     stages = fm_stages(rows, variables)
     if stages is None:
         return None
     if integer_mode:
-        return integer_search(stages)
+        return integer_search(stages, disequalities)
     return real_backsolve(stages)
 
 
