@@ -40,13 +40,10 @@ def completion(p: Program, vocab: Optional[Iterable[AtomId]] = None) -> PropForm
     return conj(conjuncts)
 
 
-def input_completion(
-    p: Program, iota: AbstractSet[AtomId], vocab: Optional[Iterable[AtomId]] = None
-) -> PropFormula:
+def input_completion(p: Program, iota: AbstractSet[AtomId]) -> PropFormula:
     """Like the completion, but support implications are emitted only for
     atoms outside the input vocabulary."""
     require_heads_outside_input(p, iota)
-    names = sorted(set(vocab) if vocab is not None else set(p.atoms))
     conjuncts = [rule_implication(r) for r in p.rules]
-    conjuncts += [_support(p, a) for a in names if a not in iota]
+    conjuncts += [_support(p, a) for a in sorted(p.atoms) if a not in iota]
     return conj(conjuncts)

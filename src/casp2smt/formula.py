@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import AbstractSet, Iterable, Optional, Tuple
+from typing import AbstractSet, Iterable, Tuple
 
-from .errors import NotAModel, OracleCapExceeded
-from .program import ORACLE_CAP, AtomId, AtomKind
+from .errors import NotAModel
+from .program import ORACLE_CAP, AtomId, AtomKind, subsets
 
 FRESH_PREFIX = "__def_"
 
@@ -123,34 +122,23 @@ def eval_formula(f: PropFormula, x: AbstractSet[AtomId]) -> bool:
     raise TypeError(f"not a formula node: {f!r}")
 
 
-def atoms_of(f: PropFormula) -> frozenset[AtomId]:
-    if isinstance(f, Atom):
-        return frozenset((f.atom,))
-    if isinstance(f, Const):
-        return frozenset()
-    if isinstance(f, Not):
-        return atoms_of(f.arg)
-    if isinstance(f, (And, Or)):
-        return frozenset().union(*(atoms_of(g) for g in f.args)) if f.args else frozenset()
-    if isinstance(f, (Implies, Iff)):
-        return atoms_of(f.lhs) | atoms_of(f.rhs)
-    raise TypeError(f"not a formula node: {f!r}")
-
-
 def models_of(
     f: PropFormula, vocab: Iterable[AtomId], cap: int = ORACLE_CAP
 ) -> list[frozenset[AtomId]]:
     """All models over the vocabulary, in lexicographic order of atom-name
     bit vectors. Atoms outside the assignment read as false."""
-    names = sorted(set(vocab))
-    if len(names) > cap:
-        raise OracleCapExceeded(len(names), cap)
-    found = []
-    for bits in itertools.product((False, True), repeat=len(names)):
-        x = frozenset(a for a, b in zip(names, bits) if b)
-        if eval_formula(f, x):
-            found.append(x)
-    return found
+    return [x for x in subsets(vocab, cap) if eval_formula(f, x)]
+
+
+def unique_name(base: str, used: set[str]) -> str:
+    """The base name, or the first of base_1, base_2, ... not yet used; the
+    name returned is added to used."""
+    candidate, i = base, 0
+    while candidate in used:
+        i += 1
+        candidate = f"{base}_{i}"
+    used.add(candidate)
+    return candidate
 
 
 # --- clausification ----------------------------------------------------------
@@ -297,12 +285,5 @@ def clause_models(
     c: ClauseSet, vocab: Iterable[AtomId], cap: int = ORACLE_CAP
 ) -> list[frozenset[AtomId]]:
     """All clause models over vocab plus the clause set's fresh atoms."""
-    names = sorted(set(vocab) | c.fresh_atoms)
-    if len(names) > cap:
-        raise OracleCapExceeded(len(names), cap)
-    found = []
-    for bits in itertools.product((False, True), repeat=len(names)):
-        x = frozenset(a for a, b in zip(names, bits) if b)
-        if satisfies_clauses(x, c):
-            found.append(x)
-    return found
+    names = set(vocab) | c.fresh_atoms
+    return [x for x in subsets(names, cap) if satisfies_clauses(x, c)]

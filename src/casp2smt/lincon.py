@@ -276,10 +276,10 @@ class _Interval:
         return self.lo not in self.punctures
 
 
-def real_feasible_1d(cs: Iterable[LinearConstraint]) -> bool:
-    """Interval-intersection feasibility over the reals, one variable per
-    constraint. Inequalities track open/closed endpoints; a disequality only
-    punctures a degenerate interval."""
+def _intervals(cs: Iterable[LinearConstraint]) -> Optional[dict[str, _Interval]]:
+    """The interval of each variable of a univariate system over the reals,
+    or None when the system is infeasible. Inequalities track open/closed
+    endpoints; a disequality punctures the interval."""
     intervals: dict[str, _Interval] = {}
     for raw in cs:
         c = raw.normalized()
@@ -288,7 +288,7 @@ def real_feasible_1d(cs: Iterable[LinearConstraint]) -> bool:
             raise UnsupportedMultivariate(f"constraint '{c}' has {len(names)} variables")
         if not names:
             if not evaluate(c, {}):
-                return False
+                return None
             continue
         # normalization makes the single coefficient positive
         name = names[0]
@@ -307,40 +307,24 @@ def real_feasible_1d(cs: Iterable[LinearConstraint]) -> bool:
             box.add_upper(k, False)
         else:
             box.punctures.add(k)
-    return all(box.feasible() for box in intervals.values())
+    return intervals if all(box.feasible() for box in intervals.values()) else None
+
+
+def real_feasible_1d(cs: Iterable[LinearConstraint]) -> bool:
+    """Interval-intersection feasibility over the reals, one variable per
+    constraint."""
+    return _intervals(cs) is not None
 
 
 def real_witness_1d(cs: Iterable[LinearConstraint]) -> Optional[dict[str, Fraction]]:
     """A rational witness for a feasible univariate system, or None."""
-    cs = tuple(cs)
-    if not real_feasible_1d(cs):
+    intervals = _intervals(cs)
+    if intervals is None:
         return None
-    witness: dict[str, Fraction] = {}
-    for name in constraint_variables(cs):
-        witness[name] = _pick_value([c.normalized() for c in cs], name)
-    return witness
+    return {name: _pick_value(intervals[name]) for name in sorted(intervals)}
 
 
-def _pick_value(cs: Sequence[LinearConstraint], name: str) -> Fraction:
-    box = _Interval()
-    punctured: set[Fraction] = set()
-    for c in cs:
-        if c.variables != (name,):
-            continue
-        k = c.bound / c.expr.coeff(name)
-        if c.rel is Rel.LT:
-            box.add_upper(k, True)
-        elif c.rel is Rel.LE:
-            box.add_upper(k, False)
-        elif c.rel is Rel.GT:
-            box.add_lower(k, True)
-        elif c.rel is Rel.GE:
-            box.add_lower(k, False)
-        elif c.rel is Rel.EQ:
-            box.add_lower(k, False)
-            box.add_upper(k, False)
-        else:
-            punctured.add(k)
+def _pick_value(box: _Interval) -> Fraction:
     if box.lo is not None and box.hi is not None and box.lo == box.hi:
         return box.lo
     # pick a closed subinterval strictly inside the feasible set, then walk
@@ -354,7 +338,7 @@ def _pick_value(cs: Sequence[LinearConstraint], name: str) -> Fraction:
     else:
         a, b = Fraction(0), Fraction(1)
     candidate = a
-    while candidate in punctured:
+    while candidate in box.punctures:
         b = (a + b) / 2
         candidate = b
     return candidate
@@ -453,21 +437,15 @@ def parse_constraint(text: str, line: int = 0, col: int = 0) -> LinearConstraint
     return LinearConstraint(LinExpr.of(coeffs), rel, bound).normalized()
 
 
-def _render_number(value: Fraction) -> str:
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
-
-
 def render_constraint(c: LinearConstraint) -> str:
     """Compact canonical text of the normalized constraint, e.g. x>=12."""
     n = c.normalized()
     if not n.expr.terms:
-        return f"0{n.rel.value}{_render_number(n.bound)}"
+        return f"0{n.rel.value}{n.bound}"
     parts: list[str] = []
     for i, (name, coeff) in enumerate(n.expr.terms):
         sign = "-" if coeff < 0 else ("+" if i else "")
         mag = abs(coeff)
-        term = name if mag == 1 else f"{_render_number(mag)}*{name}"
+        term = name if mag == 1 else f"{mag}*{name}"
         parts.append(f"{sign}{term}")
-    return f"{''.join(parts)}{n.rel.value}{_render_number(n.bound)}"
+    return f"{''.join(parts)}{n.rel.value}{n.bound}"

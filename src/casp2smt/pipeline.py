@@ -6,7 +6,7 @@ from __future__ import annotations
 import enum
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import AbstractSet, Iterable, Mapping, Optional, Sequence, Tuple, Union
@@ -14,19 +14,11 @@ from typing import AbstractSet, Iterable, Mapping, Optional, Sequence, Tuple, Un
 from . import lincon
 from .completion import input_completion
 from .errors import InconsistentConfig, NotTight, SolverSpawnFailure
-from .formula import ClauseSet, conj, models_of, to_clauses
+from .formula import conj, models_of, to_clauses
 from .lincon import LexiconKind, LinearConstraint, negate
-from .program import (
-    ORACLE_CAP,
-    AtomId,
-    Program,
-    facts,
-    is_answer_set,
-    is_tight,
-)
+from .program import ORACLE_CAP, AtomId, Program, is_input_answer_set, is_tight
 from .ranking import RANK_PREFIX, build_ranking_formula
 from .smtlib import (
-    SmtScript,
     Status,
     block_model,
     box_assert,
@@ -70,7 +62,6 @@ class SolveConfig:
     emit_path: Optional[Union[str, Path]] = None
     ranking_full: bool = False
     bound_ranks: bool = False
-    oracle_cap: int = ORACLE_CAP
     timeout: float = 60.0
 
 
@@ -120,13 +111,26 @@ def _check_config(cfg: SolveConfig) -> None:
         raise InconsistentConfig(f"empty variable box {cfg.var_box}")
 
 
-def _answer_gcsp(p: Program, x: AbstractSet[AtomId]) -> list[LinearConstraint]:
-    """Constraints a candidate answer set imposes: the constraint of every
-    true irregular atom, the complement for every false one."""
-    occurring = set(p.atoms) & p.irregular_atoms
-    gcsp = [p.constraint_of(a) for a in sorted(x & p.irregular_atoms)]
-    gcsp += [negate(p.constraint_of(a)) for a in sorted(occurring - set(x))]
+def _induced_gcsp(
+    gamma: Mapping[AtomId, LinearConstraint],
+    scope: AbstractSet[AtomId],
+    x: AbstractSet[AtomId],
+) -> list[LinearConstraint]:
+    """Constraints x imposes on the constraint atoms of the scope: the
+    constraint of every true one, the complement of every false one."""
+    gcsp = [gamma[a] for a in sorted(x & scope)]
+    gcsp += [negate(gamma[a]) for a in sorted(scope - x)]
     return gcsp
+
+
+def _feasible(
+    gcsp: Sequence[LinearConstraint], kind: LexiconKind, box: Tuple[int, int]
+) -> bool:
+    """Exact interval check over the reals, bounded search in the box over
+    the integers."""
+    if kind is LexiconKind.REAL_LINEAR:
+        return lincon.real_feasible_1d(gcsp)
+    return lincon.gcsp_solve_bounded(gcsp, kind, box[0], box[1]) is not None
 
 
 def verify(
@@ -137,15 +141,10 @@ def verify(
 ) -> bool:
     """Definition-level check that x is an answer set of the constraint
     program: an input answer set whose constraint problem is solvable."""
-    if not set(x) <= set(p.atoms):
+    atoms = set(p.atoms)
+    if not (set(x) <= atoms and is_input_answer_set(p, x, p.irregular_atoms)):
         return False
-    extended = Program(p.rules + facts(x & p.irregular_atoms), p.gamma)
-    if not is_answer_set(extended, x):
-        return False
-    gcsp = _answer_gcsp(p, x)
-    if kind is LexiconKind.REAL_LINEAR:
-        return lincon.real_feasible_1d(gcsp)
-    return lincon.gcsp_solve_bounded(gcsp, kind, box[0], box[1]) is not None
+    return _feasible(_induced_gcsp(p.gamma_map, atoms & p.irregular_atoms, x), kind, box)
 
 
 def constraint_models(
@@ -160,17 +159,11 @@ def constraint_models(
     models whose induced constraint problem is solvable."""
     vocab = tuple(vocab)
     scope = {a for a in vocab if a in gamma}
-    kept = []
-    for x in models_of(formula, vocab, cap):
-        gcsp = [gamma[a] for a in sorted(x & scope)]
-        gcsp += [negate(gamma[a]) for a in sorted(scope - x)]
-        if kind is LexiconKind.REAL_LINEAR:
-            feasible = lincon.real_feasible_1d(gcsp)
-        else:
-            feasible = lincon.gcsp_solve_bounded(gcsp, kind, box[0], box[1]) is not None
-        if feasible:
-            kept.append(x)
-    return kept
+    return [
+        x
+        for x in models_of(formula, vocab, cap)
+        if _feasible(_induced_gcsp(gamma, scope, x), kind, box)
+    ]
 
 
 def _ordered(p: Program, x: AbstractSet[AtomId]) -> Tuple[AtomId, ...]:
@@ -209,28 +202,23 @@ def _solve_oracle(p: Program, cfg: SolveConfig, report: SolveReport) -> None:
 
     box = cfg.var_box if cfg.var_box is not None else DEFAULT_ORACLE_BOX
     limit = cfg.enumerate
-    for x in input_answer_sets(p, p.irregular_atoms, cfg.oracle_cap):
-        gcsp = _answer_gcsp(p, x)
-        if cfg.logic is LexiconKind.REAL_LINEAR:
-            if not lincon.real_feasible_1d(gcsp):
-                continue
-            if cfg.extended:
-                witness = lincon.real_witness_1d(gcsp)
-                report.results.append(AnswerResult(_ordered(p, x), witness))
-            else:
+    scope = set(p.atoms) & p.irregular_atoms
+    for x in input_answer_sets(p, p.irregular_atoms, ORACLE_CAP):
+        gcsp = _induced_gcsp(p.gamma_map, scope, x)
+        if not cfg.extended:
+            if _feasible(gcsp, cfg.logic, box):
                 report.results.append(AnswerResult(_ordered(p, x)))
-        elif cfg.extended:
-            solutions = lincon.gcsp_enumerate_bounded(
-                gcsp, cfg.logic, box[0], box[1]
-            )
-            for solution in solutions:
-                values = {v: Fraction(n) for v, n in solution.items()}
+        else:
+            if cfg.logic is LexiconKind.REAL_LINEAR:
+                witness = lincon.real_witness_1d(gcsp)
+                valuations = [] if witness is None else [witness]
+            else:
+                solutions = lincon.gcsp_enumerate_bounded(gcsp, cfg.logic, box[0], box[1])
+                valuations = ({v: Fraction(n) for v, n in s.items()} for s in solutions)
+            for values in valuations:
                 report.results.append(AnswerResult(_ordered(p, x), values))
                 if limit and len(report.results) >= limit:
                     break
-        else:
-            if lincon.gcsp_solve_bounded(gcsp, cfg.logic, box[0], box[1]) is not None:
-                report.results.append(AnswerResult(_ordered(p, x)))
         if limit and len(report.results) >= limit:
             break
     report.status = Status.SAT if report.results else Status.UNSAT
@@ -326,6 +314,9 @@ def render_report(r: SolveReport, fmt: str = "text") -> str:
                 )
                 line = f"{line}  {values}" if values else line
             lines.append(line)
+        if r.status is Status.UNKNOWN:
+            # answers of an enumeration cut short; the list may be incomplete
+            lines.append("UNKNOWN")
         return "\n".join(lines)
     if fmt == "jsonl":
         lines = []
@@ -349,4 +340,4 @@ def render_report(r: SolveReport, fmt: str = "text") -> str:
 
 def _json_number(n: Fraction) -> Union[int, str]:
     n = Fraction(n)
-    return n.numerator if n.denominator == 1 else f"{n.numerator}/{n.denominator}"
+    return n.numerator if n.denominator == 1 else str(n)

@@ -12,7 +12,7 @@ import enum
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import AbstractSet, Iterable, Mapping, Optional, Tuple
+from typing import AbstractSet, Iterable, Iterator, Mapping, Optional, Tuple
 
 from .errors import HeadsIntersectInput, MissingGamma, OracleCapExceeded
 from .lincon import LinearConstraint
@@ -62,6 +62,11 @@ class Rule:
     @property
     def is_fact(self) -> bool:
         return self.head is not None and not (self.pos or self.neg or self.dneg)
+
+    def body_holds(self, x: AbstractSet[AtomId]) -> bool:
+        """Double negation collapses, so the body holds iff pos and dneg are
+        in x and neg is out."""
+        return self.pos <= x and not (self.neg & x) and self.dneg <= x
 
 
 def rule(
@@ -148,14 +153,8 @@ def require_heads_outside_input(p: Program, iota: AbstractSet[AtomId]) -> None:
 
 
 def satisfies_rule(x: AbstractSet[AtomId], r: Rule) -> bool:
-    """Classical satisfaction of the rule as an implication; double negation
-    collapses, so the body holds iff pos and dneg are in and neg is out."""
-    body = r.pos <= x and not (r.neg & x) and r.dneg <= x
-    return not body or (r.head is not None and r.head in x)
-
-
-def satisfies_program(x: AbstractSet[AtomId], p: Program) -> bool:
-    return all(satisfies_rule(x, r) for r in p.rules)
+    """Classical satisfaction of the rule as an implication."""
+    return not r.body_holds(x) or (r.head is not None and r.head in x)
 
 
 def reduct(p: Program, x: AbstractSet[AtomId]) -> Program:
@@ -200,34 +199,39 @@ def _least_model(
     return frozenset(derived), bottom
 
 
-def is_answer_set(p: Program, x: AbstractSet[AtomId]) -> bool:
-    """x is an answer set iff it equals the least model of the reduct and no
-    denial of the reduct fires."""
-    fixpoint, bottom = _least_model(_reduct_pairs(p.rules, x))
+def is_input_answer_set(
+    p: Program, x: AbstractSet[AtomId], iota: AbstractSet[AtomId] = frozenset()
+) -> bool:
+    """x is an input answer set iff, with x's input part added back as facts,
+    it equals the least model of the reduct and no denial of the reduct
+    fires. With no input atoms this is the plain answer-set test."""
+    pairs = _reduct_pairs(p.rules, x) + [(a, frozenset()) for a in x & iota]
+    fixpoint, bottom = _least_model(pairs)
     return not bottom and fixpoint == frozenset(x)
 
 
-def _candidates(
-    names: Tuple[AtomId, ...], cap: int
-) -> Iterable[frozenset[AtomId]]:
-    if len(names) > cap:
-        raise OracleCapExceeded(len(names), cap)
-    ordered = sorted(names)
+def is_answer_set(p: Program, x: AbstractSet[AtomId]) -> bool:
+    """x is an answer set iff it is an input answer set over no input atoms."""
+    return is_input_answer_set(p, x)
+
+
+def subsets(names: Iterable[AtomId], cap: int) -> Iterator[frozenset[AtomId]]:
+    """Every subset of the names, in lexicographic order of bit vectors over
+    the sorted names; more than cap names raise :class:`OracleCapExceeded`."""
+    ordered = sorted(set(names))
+    if len(ordered) > cap:
+        raise OracleCapExceeded(len(ordered), cap)
     for bits in itertools.product((False, True), repeat=len(ordered)):
         yield frozenset(a for a, b in zip(ordered, bits) if b)
 
 
 def enumerate_answer_sets(p: Program, cap: int = ORACLE_CAP) -> list[frozenset[AtomId]]:
     """All answer sets, in lexicographic order of atom-name bit vectors."""
-    return [x for x in _candidates(p.atoms, cap) if is_answer_set(p, x)]
-
-
-def facts(xs: Iterable[AtomId]) -> tuple[Rule, ...]:
-    return tuple(rule(a) for a in sorted(xs))
+    return [x for x in subsets(p.atoms, cap) if is_answer_set(p, x)]
 
 
 def with_facts(p: Program, xs: Iterable[AtomId]) -> Program:
-    return Program(p.rules + facts(xs), p.gamma)
+    return Program(p.rules + tuple(rule(a) for a in sorted(xs)), p.gamma)
 
 
 def input_answer_sets(
@@ -236,13 +240,7 @@ def input_answer_sets(
     """All x over the program's atoms that are answer sets once x's input
     part is added back as facts."""
     require_heads_outside_input(p, iota)
-    found = []
-    for x in _candidates(p.atoms, cap):
-        pairs = _reduct_pairs(p.rules, x) + [(a, frozenset()) for a in x & iota]
-        fixpoint, bottom = _least_model(pairs)
-        if not bottom and fixpoint == x:
-            found.append(x)
-    return found
+    return [x for x in subsets(p.atoms, cap) if is_input_answer_set(p, x, iota)]
 
 
 @dataclass(frozen=True)

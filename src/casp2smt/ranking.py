@@ -15,14 +15,13 @@ from typing import AbstractSet, Mapping, Optional, Tuple
 
 from .completion import body_formula
 from .errors import OracleCapExceeded, PartialRanking, RankVarForIrregular
-from .formula import Atom, PropFormula, conj, disj, implies
+from .formula import Atom, PropFormula, conj, disj, implies, unique_name
 from .lincon import LinearConstraint, LinExpr, Rel
 from .program import (
     ORACLE_CAP,
     AtomId,
     AtomKind,
     Program,
-    Rule,
     require_heads_outside_input,
 )
 
@@ -31,23 +30,10 @@ RANK_PREFIX = "__lr_"
 LevelRanking = Mapping[AtomId, int]
 
 
-def _body_satisfied(r: Rule, x: AbstractSet[AtomId]) -> bool:
-    return r.pos <= x and not (r.neg & x) and r.dneg <= x
-
-
 def check_level_ranking(p: Program, x: AbstractSet[AtomId], lr: LevelRanking) -> bool:
     """Every atom of x needs a satisfied body whose positive atoms all rank
     at least one below the atom itself."""
-    missing = set(x) - set(lr)
-    if missing:
-        raise PartialRanking(f"unranked atoms: {sorted(a.name for a in missing)}")
-    for a in x:
-        if not any(
-            _body_satisfied(r, x) and all(lr[a] - 1 >= lr[b] for b in r.pos)
-            for r in p.rules_by_head.get(a, ())
-        ):
-            return False
-    return True
+    return check_input_level_ranking(p, x, frozenset(), lr)
 
 
 def check_input_level_ranking(
@@ -62,19 +48,19 @@ def check_input_level_ranking(
         raise PartialRanking(f"unranked atoms: {sorted(a.name for a in missing)}")
     for a in ranked:
         if not any(
-            _body_satisfied(r, x)
-            and all(lr[a] - 1 >= lr[b] for b in r.pos - iota)
+            r.body_holds(x) and all(lr[a] - 1 >= lr[b] for b in r.pos - iota)
             for r in p.rules_by_head.get(a, ())
         ):
             return False
     return True
 
 
-def _stratify(
-    p: Program, x: AbstractSet[AtomId], iota: AbstractSet[AtomId]
+def find_level_ranking(
+    p: Program, x: AbstractSet[AtomId], iota: AbstractSet[AtomId] = frozenset()
 ) -> Optional[dict[AtomId, int]]:
-    """Layer the atoms of x (minus iota) bottom-up through their satisfied
-    bodies; succeeds exactly when a ranking exists, and then returns one."""
+    """A witness ranking, or None when none exists: the atoms of x (minus
+    iota) are layered bottom-up through their satisfied bodies, which
+    succeeds exactly when a ranking exists."""
     target = set(x) - set(iota)
     levels: dict[AtomId, int] = {}
     stage = 0
@@ -82,7 +68,7 @@ def _stratify(
         added = False
         for a in target - levels.keys():
             for r in p.rules_by_head.get(a, ()):
-                if not _body_satisfied(r, x):
+                if not r.body_holds(x):
                     continue
                 support = r.pos - iota
                 if support <= levels.keys() and all(levels[b] < stage for b in support):
@@ -102,9 +88,7 @@ def exists_level_ranking(
 ) -> bool:
     """Ranking existence, decided by bottom-up stratification rather than by
     enumerating candidate rankings. Values never need to exceed the size of x."""
-    if len(x) > cap:
-        raise OracleCapExceeded(len(x), cap)
-    return _stratify(p, x, frozenset()) is not None
+    return exists_input_level_ranking(p, x, frozenset(), cap)
 
 
 def exists_input_level_ranking(
@@ -113,14 +97,7 @@ def exists_input_level_ranking(
     if len(x) > cap:
         raise OracleCapExceeded(len(x), cap)
     require_heads_outside_input(p, iota)
-    return _stratify(p, x, iota) is not None
-
-
-def find_level_ranking(
-    p: Program, x: AbstractSet[AtomId], iota: AbstractSet[AtomId] = frozenset()
-) -> Optional[dict[AtomId, int]]:
-    """A concrete witness ranking, or None when none exists."""
-    return _stratify(p, x, iota)
+    return find_level_ranking(p, x, iota) is not None
 
 
 def fresh_rank_var(a: AtomId, used: Optional[set[str]] = None) -> str:
@@ -129,14 +106,7 @@ def fresh_rank_var(a: AtomId, used: Optional[set[str]] = None) -> str:
     if a.kind is AtomKind.IRREGULAR:
         raise RankVarForIrregular(f"{a.name} is never ranked")
     name = RANK_PREFIX + re.sub(r"[^A-Za-z0-9_]", "_", a.name)
-    if used is None:
-        return name
-    candidate, i = name, 0
-    while candidate in used:
-        i += 1
-        candidate = f"{name}_{i}"
-    used.add(candidate)
-    return candidate
+    return name if used is None else unique_name(name, used)
 
 
 @dataclass(frozen=True)
@@ -161,7 +131,6 @@ def build_ranking_formula(
     p: Program,
     iota: AbstractSet[AtomId],
     full: bool = False,
-    vocab: Optional[AbstractSet[AtomId]] = None,
 ) -> RankingFormula:
     """For each atom, require some satisfied body whose positive non-input
     atoms rank strictly lower, phrased with one fresh constraint atom per
@@ -169,10 +138,9 @@ def build_ranking_formula(
 
     By default atoms whose bodies all have an empty positive non-input part
     are skipped; their implications repeat the completion's support formula.
-    With ``full=True`` every non-input vocabulary atom gets its implication.
+    With ``full=True`` every non-input atom gets its implication.
     """
     require_heads_outside_input(p, iota)
-    names = sorted(set(vocab) if vocab is not None else set(p.atoms))
     var_names: dict[AtomId, str] = {}
     used: set[str] = set()
     pair_atoms: dict[tuple[AtomId, AtomId], AtomId] = {}
@@ -195,7 +163,7 @@ def build_ranking_formula(
         return pair_atoms[(a, b)]
 
     conjuncts: list[PropFormula] = []
-    for a in names:
+    for a in sorted(p.atoms):
         if a in iota:
             continue
         bodies = p.rules_by_head.get(a, ())

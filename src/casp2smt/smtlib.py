@@ -18,7 +18,7 @@ from .errors import (
     SolverSpawnFailure,
     UnknownSymbol,
 )
-from .formula import ClauseSet
+from .formula import ClauseSet, unique_name
 from .lincon import LexiconKind, LinearConstraint, Rel
 from .program import AtomId, AtomKind
 from .ranking import RANK_PREFIX
@@ -53,12 +53,7 @@ def symbol_table(names: Iterable[AtomId]) -> dict[AtomId, str]:
             base = a.name
         else:
             base = "b__" + _sanitize(a.name)
-        symbol, i = base, 0
-        while symbol in used:
-            i += 1
-            symbol = f"{base}_{i}"
-        used.add(symbol)
-        table[a] = symbol
+        table[a] = unique_name(base, used)
     return table
 
 

@@ -171,6 +171,24 @@ def test_enumerate_matches_brute_force(cs, lo, hi):
         assert all(evaluate(k, solution) for k in cs)
 
 
+# one variable of x, y, z or none, small bounds so that equalities,
+# punctures and touching endpoints meet often
+_UNIVARIATE = st.builds(
+    lambda terms, rel, bound, negated: LinearConstraint(
+        LinExpr(terms), rel, Fraction(bound), negated
+    ),
+    st.one_of(
+        st.just(()),
+        st.tuples(
+            st.tuples(st.sampled_from("xyz"), st.sampled_from([-2, -1, 1, 2, 3]).map(Fraction))
+        ),
+    ),
+    st.sampled_from(list(Rel)),
+    st.integers(-3, 3),
+    st.booleans(),
+)
+
+
 class TestRealIntervals:
     def test_open_interval_is_feasible(self):
         assert real_feasible_1d([c("x > 4"), c("x < 5")])
@@ -193,6 +211,16 @@ class TestRealIntervals:
     def test_multivariate_is_rejected(self):
         with pytest.raises(UnsupportedMultivariate):
             real_feasible_1d([c("x + y < 4")])
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(_UNIVARIATE, min_size=1, max_size=7))
+    def test_witness_exactly_when_feasible(self, cs):
+        witness = real_witness_1d(cs)
+        if not real_feasible_1d(cs):
+            assert witness is None
+        else:
+            assert witness is not None
+            assert all(evaluate(k, witness) for k in cs)
 
 
 class TestDifferenceShape:

@@ -21,7 +21,7 @@ from casp2smt.pipeline import (
     solve,
     verify,
 )
-from casp2smt.program import atom
+from casp2smt.program import ORACLE_CAP, atom
 
 from .conftest import families
 from .randprog import random_cas_program
@@ -260,7 +260,20 @@ class TestPartialEnumeration:
         program.write_text(CHOICES)
         code = cli.main([str(program), "--solver", stalling_solver(tmp_path), "--enumerate", "0"])
         assert code == cli.EXIT_UNKNOWN
-        assert capsys.readouterr().out == "Answer 1: a\n"
+        assert capsys.readouterr().out == "Answer 1: a\nUNKNOWN\n"
+
+
+class TestOracleCap:
+    def test_cli_reports_the_cap_without_a_traceback(self, tmp_path, capsys):
+        program = tmp_path / "wide.lp"
+        program.write_text("".join(f"{{a{i}}}.\n" for i in range(ORACLE_CAP + 1)))
+        code = cli.main([str(program), "--oracle"])
+        assert code == cli.EXIT_OTHER_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"casp2smt: {ORACLE_CAP + 1} atoms exceed the oracle cap of {ORACLE_CAP}\n"
+        )
 
 
 class TestRenderReport:
