@@ -3,6 +3,9 @@
 A constraint has the shape ``a1*x1 + ... + an*xn <rel> k``. All arithmetic is
 exact (:class:`fractions.Fraction`); floats never enter a satisfaction check,
 so evaluation results are bit-stable.
+
+Every :class:`LinearConstraint` is canonical once built, so constraints that
+differ only by a rescaling are equal, hash alike and render the same text.
 """
 
 from __future__ import annotations
@@ -125,25 +128,15 @@ class LinExpr:
 
 @dataclass(frozen=True)
 class LinearConstraint:
-    """``expr rel bound``, optionally wrapped in one classical negation."""
+    """``expr rel bound`` in canonical form: integer coefficients with overall
+    gcd 1 (bound included) and a positive first coefficient."""
 
     expr: LinExpr
     rel: Rel
     bound: Fraction
-    negated: bool = False
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "bound", Fraction(self.bound))
-
-    @property
-    def variables(self) -> tuple[str, ...]:
-        return self.expr.variables
-
-    def normalized(self) -> "LinearConstraint":
-        """Canonical form: negation folded into the complement relation,
-        integer coefficients with overall gcd 1, first coefficient positive."""
-        rel = self.rel.complement if self.negated else self.rel
-        expr, bound = self.expr, self.bound
+        expr, rel, bound = self.expr, self.rel, Fraction(self.bound)
         if expr.terms:
             scale = lcm(bound.denominator, *(c.denominator for _, c in expr.terms))
             if scale > 1:
@@ -153,23 +146,26 @@ class LinearConstraint:
                 expr, bound = expr.scaled(Fraction(1, g)), bound / g
             if expr.terms[0][1] < 0:
                 expr, bound, rel = expr.scaled(Fraction(-1)), -bound, rel.mirror
-        return LinearConstraint(expr, rel, bound, False)
+        object.__setattr__(self, "expr", expr)
+        object.__setattr__(self, "rel", rel)
+        object.__setattr__(self, "bound", bound)
+
+    @property
+    def variables(self) -> tuple[str, ...]:
+        return self.expr.variables
 
     def __str__(self) -> str:
         return render_constraint(self)
 
 
 def evaluate(c: LinearConstraint, v: Valuation) -> bool:
-    """Decide whether the valuation satisfies the constraint literal."""
-    result = c.rel.holds(c.expr.value(v), c.bound)
-    return not result if c.negated else result
+    """Decide whether the valuation satisfies the constraint."""
+    return c.rel.holds(c.expr.value(v), c.bound)
 
 
 def negate(c: LinearConstraint) -> LinearConstraint:
-    """Positive-form complement; double negation gives the constraint back."""
-    if c.negated:
-        return LinearConstraint(c.expr, c.rel, c.bound, False).normalized()
-    return LinearConstraint(c.expr, c.rel.complement, c.bound, False).normalized()
+    """The complement constraint; negating twice gives the constraint back."""
+    return LinearConstraint(c.expr, c.rel.complement, c.bound)
 
 
 def constraint_variables(cs: Iterable[LinearConstraint]) -> tuple[str, ...]:
@@ -180,14 +176,21 @@ def constraint_variables(cs: Iterable[LinearConstraint]) -> tuple[str, ...]:
 
 
 def _boxed_solutions(
-    cs: Sequence[LinearConstraint],
+    cs: Iterable[LinearConstraint],
+    kind: LexiconKind,
     lo: int,
     hi: int,
-    variables: Sequence[str],
+    variables: Optional[Sequence[str]],
 ) -> Iterator[dict[str, int]]:
-    """Depth-first search over the integer box, pruning a branch as soon as a
-    fully assigned constraint fails."""
-    order = list(variables)
+    """Depth-first search over the integer box, in lexicographic order of the
+    sorted variable names (by default those of the constraints), pruning a
+    branch as soon as a fully assigned constraint fails."""
+    if kind is not LexiconKind.INTEGER_LINEAR:
+        raise ValueError("bounded search applies to the integer lexicon only")
+    if lo > hi:
+        raise ValueError(f"empty box [{lo}, {hi}]")
+    cs = tuple(cs)
+    order = sorted(variables) if variables is not None else constraint_variables(cs)
     position = {name: i for i, name in enumerate(order)}
     by_last: list[list[LinearConstraint]] = [[] for _ in order]
     for c in cs:
@@ -213,13 +216,6 @@ def _boxed_solutions(
     yield from descend(0)
 
 
-def _check_box_args(kind: LexiconKind, lo: int, hi: int) -> None:
-    if kind is not LexiconKind.INTEGER_LINEAR:
-        raise ValueError("bounded search applies to the integer lexicon only")
-    if lo > hi:
-        raise ValueError(f"empty box [{lo}, {hi}]")
-
-
 def gcsp_solve_bounded(
     cs: Iterable[LinearConstraint],
     kind: LexiconKind,
@@ -229,10 +225,7 @@ def gcsp_solve_bounded(
 ) -> Optional[dict[str, int]]:
     """First solution of the constraint set inside the box, in lexicographic
     order of the sorted variable names, or None when there is none."""
-    cs = tuple(cs)
-    _check_box_args(kind, lo, hi)
-    names = tuple(sorted(variables)) if variables is not None else constraint_variables(cs)
-    return next(_boxed_solutions(cs, lo, hi, names), None)
+    return next(_boxed_solutions(cs, kind, lo, hi, variables), None)
 
 
 def gcsp_enumerate_bounded(
@@ -243,10 +236,7 @@ def gcsp_enumerate_bounded(
     variables: Optional[Sequence[str]] = None,
 ) -> list[dict[str, int]]:
     """All solutions inside the box, lexicographic order."""
-    cs = tuple(cs)
-    _check_box_args(kind, lo, hi)
-    names = tuple(sorted(variables)) if variables is not None else constraint_variables(cs)
-    return list(_boxed_solutions(cs, lo, hi, names))
+    return list(_boxed_solutions(cs, kind, lo, hi, variables))
 
 
 @dataclass
@@ -281,8 +271,7 @@ def _intervals(cs: Iterable[LinearConstraint]) -> Optional[dict[str, _Interval]]
     or None when the system is infeasible. Inequalities track open/closed
     endpoints; a disequality punctures the interval."""
     intervals: dict[str, _Interval] = {}
-    for raw in cs:
-        c = raw.normalized()
+    for c in cs:
         names = c.variables
         if len(names) > 1:
             raise UnsupportedMultivariate(f"constraint '{c}' has {len(names)} variables")
@@ -290,7 +279,7 @@ def _intervals(cs: Iterable[LinearConstraint]) -> Optional[dict[str, _Interval]]
             if not evaluate(c, {}):
                 return None
             continue
-        # normalization makes the single coefficient positive
+        # the canonical form makes the single coefficient positive
         name = names[0]
         k = c.bound / c.expr.coeff(name)
         box = intervals.setdefault(name, _Interval())
@@ -346,10 +335,9 @@ def _pick_value(box: _Interval) -> Fraction:
 
 def is_difference_shape(c: LinearConstraint) -> bool:
     """True for the x - y <rel> k shape difference logic accepts."""
-    n = c.normalized()
-    if len(n.expr.terms) != 2:
+    if len(c.expr.terms) != 2:
         return False
-    coeffs = sorted(coeff for _, coeff in n.expr.terms)
+    coeffs = sorted(coeff for _, coeff in c.expr.terms)
     return coeffs == [Fraction(-1), Fraction(1)]
 
 
@@ -377,7 +365,7 @@ def _tokenize_constraint(text: str, line: int, col: int) -> list[tuple[str, str,
 
 
 def parse_constraint(text: str, line: int = 0, col: int = 0) -> LinearConstraint:
-    """Parse the text between constraint-atom bars into a normalized constraint."""
+    """Parse the text between constraint-atom bars into a constraint."""
     tokens = _tokenize_constraint(text, line, col)
     pos = 0
 
@@ -434,18 +422,17 @@ def parse_constraint(text: str, line: int = 0, col: int = 0) -> LinearConstraint
         raise ParseError(f"trailing input {peek()[1]!r} in constraint", line, peek()[2])
     if not coeffs:
         raise ParseError("constraint has no variables", line, col)
-    return LinearConstraint(LinExpr.of(coeffs), rel, bound).normalized()
+    return LinearConstraint(LinExpr.of(coeffs), rel, bound)
 
 
 def render_constraint(c: LinearConstraint) -> str:
-    """Compact canonical text of the normalized constraint, e.g. x>=12."""
-    n = c.normalized()
-    if not n.expr.terms:
-        return f"0{n.rel.value}{n.bound}"
+    """Compact canonical text of the constraint, e.g. x>=12."""
+    if not c.expr.terms:
+        return f"0{c.rel.value}{c.bound}"
     parts: list[str] = []
-    for i, (name, coeff) in enumerate(n.expr.terms):
+    for i, (name, coeff) in enumerate(c.expr.terms):
         sign = "-" if coeff < 0 else ("+" if i else "")
         mag = abs(coeff)
         term = name if mag == 1 else f"{mag}*{name}"
         parts.append(f"{sign}{term}")
-    return f"{''.join(parts)}{n.rel.value}{n.bound}"
+    return f"{''.join(parts)}{c.rel.value}{c.bound}"

@@ -10,8 +10,8 @@ Grammar (one statement per ``.``; ``%`` starts a comment):
     ident   := [a-z][A-Za-z0-9_]*
 
 A choice head ``{a} :- B`` abbreviates ``a :- not not a, B`` and is expanded
-while parsing. Constraint atoms are identified with their normalized
-constraint text, so ``|x < 12|`` and ``|1*x < 12|`` denote the same atom.
+while parsing. Constraint atoms are identified with their constraint, so
+``|x < 12|`` and ``|2*x < 24|`` denote the same atom.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ from typing import Iterator, Optional
 
 from .errors import IrregularHead, ParseError, ReservedPrefix
 from .formula import FRESH_PREFIX
-from .lincon import LinearConstraint, parse_constraint, render_constraint
-from .program import AtomId, AtomKind, Program, Rule, atom
+from .lincon import LinearConstraint, parse_constraint
+from .program import AtomId, AtomKind, Program, Rule, atom, constraint_atom
 from .ranking import RANK_PREFIX
 
 _TOKEN = re.compile(
@@ -127,7 +127,7 @@ class _Parser:
                         f"prefix {prefix!r} is reserved", tok.line, tok.column
                     )
             constraint = parse_constraint(inner, tok.line, tok.column + 1)
-            a = AtomId(f"|{render_constraint(constraint)}|", AtomKind.IRREGULAR)
+            a = constraint_atom(constraint)
             self.gamma[a] = constraint
             return a
         raise ParseError(
@@ -189,7 +189,7 @@ class _Parser:
 
 def parse_program(text: str) -> Program:
     """Parse program text; choice rules are expanded and the constraint
-    mapping is built from the normalized constraint atoms."""
+    mapping is built from the constraint atoms."""
     return _Parser(text).parse()
 
 

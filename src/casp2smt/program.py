@@ -15,7 +15,7 @@ from functools import cached_property
 from typing import AbstractSet, Iterable, Iterator, Mapping, Optional, Tuple
 
 from .errors import HeadsIntersectInput, MissingGamma, OracleCapExceeded
-from .lincon import LinearConstraint
+from .lincon import LinearConstraint, render_constraint
 
 ORACLE_CAP = 22
 
@@ -50,6 +50,11 @@ def atom(name: str) -> AtomId:
     return AtomId(name, kind)
 
 
+def constraint_atom(c: LinearConstraint) -> AtomId:
+    """The irregular atom of a constraint, named by its canonical text."""
+    return AtomId(f"|{render_constraint(c)}|", AtomKind.IRREGULAR)
+
+
 @dataclass(frozen=True)
 class Rule:
     """head <- pos, not neg, not not dneg.  A ``None`` head is the empty head."""
@@ -58,10 +63,6 @@ class Rule:
     pos: frozenset[AtomId]
     neg: frozenset[AtomId]
     dneg: frozenset[AtomId]
-
-    @property
-    def is_fact(self) -> bool:
-        return self.head is not None and not (self.pos or self.neg or self.dneg)
 
     def body_holds(self, x: AbstractSet[AtomId]) -> bool:
         """Double negation collapses, so the body holds iff pos and dneg are
@@ -81,7 +82,7 @@ def rule(
 @dataclass(frozen=True)
 class Program:
     """Immutable ground program plus the constraint mapping of its irregular
-    atoms. The mapping is injective on normalized constraints."""
+    atoms. The mapping is injective."""
 
     rules: Tuple[Rule, ...]
     gamma: Tuple[Tuple[AtomId, LinearConstraint], ...] = ()
@@ -91,9 +92,8 @@ class Program:
         pairs = self.gamma.items() if isinstance(self.gamma, Mapping) else self.gamma
         items = tuple(sorted(pairs, key=lambda kv: kv[0].name))
         object.__setattr__(self, "gamma", items)
-        images = [c.normalized() for _, c in items]
-        if len(set(images)) != len(images):
-            raise ValueError("gamma must be injective on normalized constraints")
+        if len({c for _, c in items}) != len(items):
+            raise ValueError("gamma must be injective on constraints")
         known = {a for a, _ in items}
         for a in self.atoms:
             if a.kind is AtomKind.IRREGULAR and a not in known:
@@ -129,12 +129,6 @@ class Program:
     def irregular_atoms(self) -> frozenset[AtomId]:
         return frozenset(a for a, _ in self.gamma)
 
-    def constraint_of(self, a: AtomId) -> LinearConstraint:
-        try:
-            return self.gamma_map[a]
-        except KeyError:
-            raise MissingGamma(a.name) from None
-
 
 def heads(p: Program) -> frozenset[AtomId]:
     """All nonempty heads."""
@@ -161,9 +155,8 @@ def reduct(p: Program, x: AbstractSet[AtomId]) -> Program:
     """Drop rules whose negative body part x falsifies; survivors keep head
     and positive body only."""
     kept = tuple(
-        Rule(r.head, r.pos, frozenset(), frozenset())
-        for r in p.rules
-        if not (r.neg & x) and r.dneg <= x
+        Rule(head, pos, frozenset(), frozenset())
+        for head, pos in _reduct_pairs(p.rules, x)
     )
     return Program(kept, p.gamma)
 
@@ -171,6 +164,7 @@ def reduct(p: Program, x: AbstractSet[AtomId]) -> Program:
 def _reduct_pairs(
     rules: Iterable[Rule], x: AbstractSet[AtomId]
 ) -> list[tuple[Optional[AtomId], frozenset[AtomId]]]:
+    """Head and positive body of each rule that survives the reduct by x."""
     return [
         (r.head, r.pos) for r in rules if not (r.neg & x) and r.dneg <= x
     ]

@@ -14,14 +14,14 @@ from fractions import Fraction
 from typing import AbstractSet, Mapping, Optional, Tuple
 
 from .completion import body_formula
-from .errors import OracleCapExceeded, PartialRanking, RankVarForIrregular
+from .errors import PartialRanking, RankVarForIrregular
 from .formula import Atom, PropFormula, conj, disj, implies, unique_name
 from .lincon import LinearConstraint, LinExpr, Rel
 from .program import (
-    ORACLE_CAP,
     AtomId,
     AtomKind,
     Program,
+    constraint_atom,
     require_heads_outside_input,
 )
 
@@ -83,19 +83,15 @@ def find_level_ranking(
     return None
 
 
-def exists_level_ranking(
-    p: Program, x: AbstractSet[AtomId], cap: int = ORACLE_CAP
-) -> bool:
+def exists_level_ranking(p: Program, x: AbstractSet[AtomId]) -> bool:
     """Ranking existence, decided by bottom-up stratification rather than by
     enumerating candidate rankings. Values never need to exceed the size of x."""
-    return exists_input_level_ranking(p, x, frozenset(), cap)
+    return exists_input_level_ranking(p, x, frozenset())
 
 
 def exists_input_level_ranking(
-    p: Program, x: AbstractSet[AtomId], iota: AbstractSet[AtomId], cap: int = ORACLE_CAP
+    p: Program, x: AbstractSet[AtomId], iota: AbstractSet[AtomId]
 ) -> bool:
-    if len(x) > cap:
-        raise OracleCapExceeded(len(x), cap)
     require_heads_outside_input(p, iota)
     return find_level_ranking(p, x, iota) is not None
 
@@ -156,8 +152,8 @@ def build_ranking_formula(
             expr = LinExpr(
                 ((rank_var(a), Fraction(1)), (rank_var(b), Fraction(-1)))
             )
-            c = LinearConstraint(expr, Rel.GE, Fraction(1)).normalized()
-            ra = AtomId(f"|{c}|", AtomKind.IRREGULAR)
+            c = LinearConstraint(expr, Rel.GE, Fraction(1))
+            ra = constraint_atom(c)
             pair_atoms[(a, b)] = ra
             gamma[ra] = c
         return pair_atoms[(a, b)]

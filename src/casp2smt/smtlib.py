@@ -83,12 +83,11 @@ def render_expr(c: LinearConstraint, int_sort: bool) -> str:
 
 
 def render_theory_atom(c: LinearConstraint, int_sort: bool) -> str:
-    n = c.normalized()
-    lhs = render_expr(n, int_sort)
-    rhs = render_number(n.bound, int_sort)
-    if n.rel is Rel.NE:
+    lhs = render_expr(c, int_sort)
+    rhs = render_number(c.bound, int_sort)
+    if c.rel is Rel.NE:
         return f"(not (= {lhs} {rhs}))"
-    op = "=" if n.rel is Rel.EQ else n.rel.value
+    op = "=" if c.rel is Rel.EQ else c.rel.value
     return f"({op} {lhs} {rhs})"
 
 
@@ -120,10 +119,6 @@ class SmtScript:
         lines += [f"(declare-fun {s} () {self.num_sort})" for s in self.num_symbols]
         lines += list(self.asserts)
         return "\n".join(lines) + "\n"
-
-    @property
-    def symbol_of(self) -> dict[AtomId, str]:
-        return dict(self.atom_symbols)
 
     def with_asserts(self, extra: Iterable[str]) -> "SmtScript":
         return SmtScript(

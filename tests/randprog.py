@@ -5,8 +5,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from casp2smt.lincon import LinearConstraint, LinExpr, Rel, render_constraint
-from casp2smt.program import AtomId, AtomKind, Program, Rule, atom
+from casp2smt.lincon import LinearConstraint, LinExpr, Rel
+from casp2smt.program import AtomId, Program, Rule, atom, constraint_atom
 
 NAMES = "abcdefghij"
 
@@ -73,9 +73,7 @@ def random_constraint(rng: random.Random, n_vars: int = 2, bound: int = 8) -> Li
     chosen = rng.sample(var_pool, rng.randint(1, n_vars))
     coeffs = {v: Fraction(rng.choice([-2, -1, 1, 2])) for v in chosen}
     rel = rng.choice(list(Rel))
-    return LinearConstraint(
-        LinExpr.of(coeffs), rel, Fraction(rng.randint(-bound, bound))
-    ).normalized()
+    return LinearConstraint(LinExpr.of(coeffs), rel, Fraction(rng.randint(-bound, bound)))
 
 
 def random_cas_program(
@@ -94,7 +92,7 @@ def random_cas_program(
     irregulars: list[AtomId] = []
     for _ in range(rng.randint(1, max_constraints)):
         c = random_constraint(rng, n_vars)
-        a = AtomId(f"|{render_constraint(c)}|", AtomKind.IRREGULAR)
+        a = constraint_atom(c)
         gamma[a] = c
         irregulars.append(a)
     rules = []

@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -34,9 +35,9 @@ class TestEvaluate:
         assert evaluate(c("x >= 12"), {"x": 12})
 
     def test_negated_constraint_flips_through_complement(self):
-        raw = LinearConstraint(LinExpr.of({"x": 1}), Rel.LT, Fraction(12), negated=True)
-        assert evaluate(raw, {"x": 12})
-        assert not evaluate(raw, {"x": 11})
+        k = negate(c("x < 12"))
+        assert evaluate(k, {"x": 12})
+        assert not evaluate(k, {"x": 11})
 
     def test_two_variable_arithmetic(self):
         assert evaluate(c("2*x2 + 3*x3 = 13"), {"x2": 2, "x3": 3})
@@ -52,8 +53,8 @@ class TestNegate:
         assert negate(c("x < 12")) == c("x >= 12")
 
     def test_double_negation_collapses(self):
-        wrapped = LinearConstraint(LinExpr.of({"x": 1}), Rel.LT, Fraction(12), negated=True)
-        assert negate(wrapped) == c("x < 12")
+        complement = LinearConstraint(LinExpr.of({"x": 2}), Rel.GE, Fraction(24))
+        assert negate(complement) == c("x < 12")
 
     def test_eq_becomes_ne(self):
         assert negate(c("x = 0")) == c("x != 0")
@@ -75,7 +76,8 @@ class TestNormalization:
 
     def test_idempotent(self):
         k = c("2*x + 4*y != 6")
-        assert k.normalized() == k
+        assert (k.expr, k.rel, k.bound) == (LinExpr.of({"x": 1, "y": 2}), Rel.NE, 3)
+        assert LinearConstraint(k.expr, k.rel, k.bound) == k
 
     def test_round_trip_is_identity(self):
         for text in ("x >= 12", "2*x2 + 3*x3 = 13", "-x + 2*y < 7", "x != 0"):
@@ -91,40 +93,61 @@ class TestNormalization:
                 parse_constraint(bad)
 
 
+NONZERO = st.builds(
+    Fraction, st.integers(-4, 4).filter(lambda k: k != 0), st.integers(1, 3)
+)
+
+
 @st.composite
-def constraints(draw):
+def raw_fields(draw):
+    """Expression, relation and bound as a caller might write them: rational
+    coefficients, any sign first, common factors left in."""
     n = draw(st.integers(1, 3))
     variables = draw(st.lists(st.sampled_from("uvwxyz"), min_size=n, max_size=n, unique=True))
-    coeffs = {
-        v: Fraction(draw(st.integers(-4, 4).filter(lambda k: k != 0)))
-        for v in variables
-    }
+    coeffs = {v: draw(NONZERO) for v in variables}
     rel = draw(st.sampled_from(list(Rel)))
-    bound = Fraction(draw(st.integers(-10, 10)))
-    negated = draw(st.booleans())
-    return LinearConstraint(LinExpr.of(coeffs), rel, bound, negated)
+    if draw(st.booleans()):
+        rel = rel.complement
+    bound = Fraction(draw(st.integers(-10, 10)), draw(st.integers(1, 3)))
+    return LinExpr.of(coeffs), rel, bound
+
+
+def constraints():
+    return raw_fields().map(lambda fields: LinearConstraint(*fields))
+
+
+def valuation(data, names):
+    return {name: data.draw(st.integers(-6, 6), label=name) for name in names}
 
 
 @given(constraints(), st.data())
 def test_complement_law(k, data):
-    v = {
-        name: data.draw(st.integers(-6, 6), label=name)
-        for name in k.variables
-    }
+    v = valuation(data, k.variables)
     assert evaluate(negate(k), v) == (not evaluate(k, v))
 
 
 @given(constraints())
-def test_normalize_idempotent(k):
-    once = k.normalized()
-    assert once.normalized() == once
-    assert not once.negated
+def test_rebuilding_from_fields_is_identity(k):
+    again = LinearConstraint(k.expr, k.rel, k.bound)
+    assert again == k and hash(again) == hash(k)
+    coeffs = [coeff for _, coeff in k.expr.terms]
+    assert all(x.denominator == 1 for x in coeffs + [k.bound])
+    assert math.gcd(*(int(x) for x in coeffs + [k.bound])) == 1
+    assert coeffs[0] > 0
 
 
-@given(constraints(), st.data())
-def test_normalized_preserves_satisfaction(k, data):
-    v = {name: data.draw(st.integers(-6, 6), label=name) for name in k.variables}
-    assert evaluate(k.normalized(), v) == evaluate(k, v)
+@given(constraints(), NONZERO)
+def test_scaling_rebuilds_the_same_constraint(k, factor):
+    rel = k.rel if factor > 0 else k.rel.mirror
+    scaled = LinearConstraint(k.expr.scaled(factor), rel, k.bound * factor)
+    assert scaled == k and hash(scaled) == hash(k)
+
+
+@given(raw_fields(), st.data())
+def test_construction_preserves_satisfaction(fields, data):
+    expr, rel, bound = fields
+    v = valuation(data, expr.variables)
+    assert evaluate(LinearConstraint(expr, rel, bound), v) == rel.holds(expr.value(v), bound)
 
 
 class TestBoundedGcsp:
@@ -174,8 +197,8 @@ def test_enumerate_matches_brute_force(cs, lo, hi):
 # one variable of x, y, z or none, small bounds so that equalities,
 # punctures and touching endpoints meet often
 _UNIVARIATE = st.builds(
-    lambda terms, rel, bound, negated: LinearConstraint(
-        LinExpr(terms), rel, Fraction(bound), negated
+    lambda terms, rel, bound, complement: LinearConstraint(
+        LinExpr(terms), rel.complement if complement else rel, Fraction(bound)
     ),
     st.one_of(
         st.just(()),

@@ -10,7 +10,7 @@ from casp2smt.formula import Atom, And, Implies, Not, Or, TOP, eval_formula, mod
 from casp2smt.lincon import LexiconKind, LinearConstraint, LinExpr, Rel, negate
 from casp2smt.lincon import gcsp_solve_bounded
 from casp2smt.parser import parse_program
-from casp2smt.program import atom, heads, input_answer_sets, is_answer_set
+from casp2smt.program import atom, constraint_atom, heads, input_answer_sets, is_answer_set
 from casp2smt.ranking import (
     build_ranking_formula,
     check_input_level_ranking,
@@ -22,6 +22,7 @@ from casp2smt.ranking import (
 )
 
 from .randprog import random_program, random_subset
+from .test_script_bytes import RING12
 
 a, b_, c_, switch, light, am = map(atom, ("a", "b", "c", "switch", "lightOn", "am"))
 
@@ -88,6 +89,14 @@ class TestExistsLevelRanking:
 
     def test_empty_set(self):
         assert exists_level_ranking(parse_program("a.\n"), set())
+
+    def test_decided_beyond_the_oracle_cap(self):
+        # every atom of the 12-node ring: 36 regular atoms ranked over its
+        # 12 constraint atoms as input, more than the 22 the oracle enumerates
+        p = parse_program(RING12)
+        x = frozenset(p.atoms)
+        assert len(x) == 48
+        assert exists_input_level_ranking(p, x, p.irregular_atoms)
 
     def test_found_witness_passes_the_checker(self):
         rng = random.Random(41)
@@ -159,9 +168,7 @@ class TestFreshRankVar:
 
 
 def rank_pair(x: str, y: str) -> LinearConstraint:
-    return LinearConstraint(
-        LinExpr.of({f"__lr_{x}": 1, f"__lr_{y}": -1}), Rel.GE, Fraction(1)
-    ).normalized()
+    return LinearConstraint(LinExpr.of({f"__lr_{x}": 1, f"__lr_{y}": -1}), Rel.GE, Fraction(1))
 
 
 class TestBuildRankingFormula:
@@ -191,12 +198,12 @@ class TestBuildRankingFormula:
                 (
                     Atom(switch),
                     Not(Atom(am)),
-                    Atom(atom(f"|{pair}|")),
+                    Atom(constraint_atom(pair)),
                 )
             ),
         )
         assert rf.formula == expected
-        assert rf.gamma == {atom(f"|{pair}|"): pair}
+        assert rf.gamma == {constraint_atom(pair): pair}
 
     def test_all_input_positive_bodies_make_it_trivial(self):
         p = parse_program("{a}.\nb :- |x < 1|, not a.\n:- |x > 5|.\n")

@@ -1,9 +1,10 @@
 """Byte-identity gate for the emitted SMT-LIB.
 
 The SHA-256 of the script ``solve`` writes is pinned for the paper's program
-PI1 and for a reachability ring with chords. A change that sets out to alter
-the encoding updates these pins and says so; any other change must leave
-them untouched.
+PI1 and for a reachability ring with chords: over QF_LIA by mode and ranking
+variant, and over QF_LRA, under a variable box and with bounded rank
+variables. A change that sets out to alter the encoding updates these pins
+and says so; any other change must leave them untouched.
 """
 
 import hashlib
@@ -11,6 +12,7 @@ import sys
 
 import pytest
 
+from casp2smt.lincon import LexiconKind
 from casp2smt.parser import parse_program
 from casp2smt.pipeline import Mode, SolveConfig, solve
 
@@ -51,6 +53,22 @@ PINS = {
         "fc244898dd535587b251d43a7c203228dc890ed4822573729c5b8f4cd477c0ff",
 }
 
+# the default configuration with one setting changed
+CONFIG_PINS = {
+    ("PI1", "lra"): "a478346bbc75a31993b9f4ced55e3b0edac491dd63b1f19e92efb6020e8fd5ce",
+    ("PI1", "box"): "254b81e3bcf15753d2479981b85b7f04b235eda8004288d59af297e69e58e5a7",
+    ("PI1", "bound_ranks"): "a8a41998f2d59f77d50a121f21d80505abcbda07edad64af943613d22aee4469",
+    ("RING12", "lra"): "1813b271be87275b5c0e2976879105225f786e4a478f54cb06fb8936fcaa7d83",
+    ("RING12", "box"): "ca049cc28fd292ac82ac7eefc3b6171b04d2719a1b832380b604bdded82ccfc3",
+    ("RING12", "bound_ranks"): "b7ec7d51163890043f17ad6016f33ea6234d5c584d8ebae1931bbf3de33bec9a",
+}
+
+CONFIGS = {
+    "lra": dict(logic=LexiconKind.REAL_LINEAR),
+    "box": dict(var_box=(0, 23)),
+    "bound_ranks": dict(mode=Mode.FORCE_RANKING, bound_ranks=True),
+}
+
 TEXTS = {"PI1": PI1, "RING12": RING12}
 
 
@@ -71,3 +89,14 @@ def test_script_hash_is_pinned(name, mode, full, stub_solver, tmp_path):
     )
     digest = hashlib.sha256(target.read_bytes()).hexdigest()
     assert digest == PINS[(name, mode, full)]
+
+
+@pytest.mark.parametrize("name,config", sorted(CONFIG_PINS))
+def test_script_hash_is_pinned_per_configuration(name, config, stub_solver, tmp_path):
+    target = tmp_path / "out.smt2"
+    solve(
+        parse_program(TEXTS[name]),
+        SolveConfig(solver_cmd=stub_solver, emit_path=target, **CONFIGS[config]),
+    )
+    digest = hashlib.sha256(target.read_bytes()).hexdigest()
+    assert digest == CONFIG_PINS[(name, config)]

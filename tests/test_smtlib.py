@@ -153,7 +153,7 @@ class TestDecode:
     def test_symbol_collision_decodes_through_the_script_table(self):
         p, clauses, script = colliding_script()
         table = symbol_table(clauses.atoms())
-        assert script.symbol_of == table
+        assert dict(script.atom_symbols) == table
         assert table[atom("b__x_ge_1")] == "b__x_ge_1"
         assert table[atom("|x>=1|")] == "b__x_ge_1_1"
         for bits in itertools.product((False, True), repeat=len(script.bool_symbols)):
