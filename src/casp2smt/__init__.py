@@ -23,7 +23,6 @@ from .pipeline import (
 )
 from .program import (
     AtomId,
-    AtomKind,
     Program,
     Rule,
     atom,
@@ -38,7 +37,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AtomId",
-    "AtomKind",
     "Casp2SmtError",
     "Encoding",
     "Fragment",

@@ -38,14 +38,6 @@ class RankVarForIrregular(Casp2SmtError):
     """Rank variables exist for regular atoms only."""
 
 
-class MissingGamma(Casp2SmtError):
-    """An irregular atom has no associated constraint."""
-
-    def __init__(self, name: str):
-        super().__init__(f"irregular atom '{name}' has no constraint mapping")
-        self.name = name
-
-
 class SolverSpawnFailure(Casp2SmtError):
     """The external SMT solver process could not be started."""
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from typing import AbstractSet, Iterable, Tuple
 
 from .errors import NotAModel
-from .program import ORACLE_CAP, AtomId, AtomKind, subsets
+from .program import ORACLE_CAP, AtomId, subsets
 
 FRESH_PREFIX = "__def_"
 
@@ -210,7 +210,7 @@ class _Clausifier:
         self.defined: dict[PropFormula, Literal] = {}
 
     def fresh_atom(self) -> AtomId:
-        a = AtomId(f"{FRESH_PREFIX}{len(self.fresh) + 1}", AtomKind.REGULAR)
+        a = AtomId(f"{FRESH_PREFIX}{len(self.fresh) + 1}")
         self.fresh.append(a)
         return a
 

@@ -420,9 +420,11 @@ def parse_constraint(text: str, line: int = 0, col: int = 0) -> LinearConstraint
     bound = number()
     if pos != len(tokens):
         raise ParseError(f"trailing input {peek()[1]!r} in constraint", line, peek()[2])
-    if not coeffs:
+    c = LinearConstraint(LinExpr.of(coeffs), rel, bound)
+    if not c.variables:
+        # zero terms are dropped, so |x - x >= 1| has none left
         raise ParseError("constraint has no variables", line, col)
-    return LinearConstraint(LinExpr.of(coeffs), rel, bound)
+    return c
 
 
 def render_constraint(c: LinearConstraint) -> str:

@@ -11,7 +11,8 @@ Grammar (one statement per ``.``; ``%`` starts a comment):
 
 A choice head ``{a} :- B`` abbreviates ``a :- not not a, B`` and is expanded
 while parsing. Constraint atoms are identified with their constraint, so
-``|x < 12|`` and ``|2*x < 24|`` denote the same atom.
+``|x < 12|`` and ``|2*x < 24|`` denote the same atom, and the parser makes
+one object per atom.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from typing import Iterator, Optional
 
 from .errors import IrregularHead, ParseError, ReservedPrefix
 from .formula import FRESH_PREFIX
-from .lincon import LinearConstraint, parse_constraint
-from .program import AtomId, AtomKind, Program, Rule, atom, constraint_atom
+from .lincon import parse_constraint
+from .program import AtomId, Program, Rule, constraint_atom
 from .ranking import RANK_PREFIX
 
 _TOKEN = re.compile(
@@ -80,7 +81,8 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = list(_tokens(text))
         self.pos = 0
-        self.gamma: dict[AtomId, LinearConstraint] = {}
+        # one object per atom name, so rules share their atoms
+        self.atoms: dict[str, AtomId] = {}
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -98,7 +100,7 @@ class _Parser:
         rules = []
         while self.peek().kind != "eof":
             rules.append(self.rule())
-        return Program(tuple(rules), self.gamma)
+        return Program(tuple(rules))
 
     def atom(self) -> AtomId:
         tok = self.peek()
@@ -117,7 +119,7 @@ class _Parser:
                     tok.line,
                     tok.column,
                 )
-            return atom(tok.value)
+            return self.atoms.setdefault(tok.value, AtomId(tok.value))
         if tok.kind == "bar":
             self.take()
             inner = tok.value[1:-1]
@@ -126,10 +128,8 @@ class _Parser:
                     raise ReservedPrefix(
                         f"prefix {prefix!r} is reserved", tok.line, tok.column
                     )
-            constraint = parse_constraint(inner, tok.line, tok.column + 1)
-            a = constraint_atom(constraint)
-            self.gamma[a] = constraint
-            return a
+            a = constraint_atom(parse_constraint(inner, tok.line, tok.column + 1))
+            return self.atoms.setdefault(a.name, a)
         raise ParseError(
             f"expected an atom, found {tok.value or 'end of input'!r}",
             tok.line,
@@ -146,29 +146,18 @@ class _Parser:
     def rule(self) -> Rule:
         tok = self.peek()
         head: Optional[AtomId] = None
-        choice = False
-        if tok.kind == "lbrace":
+        choice = tok.kind == "lbrace"
+        if choice:
             self.take()
-            head_tok = self.peek()
+            tok = self.peek()
             head = self.atom()
             self.take("rbrace")
-            choice = True
-            if head.kind is AtomKind.IRREGULAR:
-                raise IrregularHead(
-                    f"constraint atom {head.name} cannot head a rule",
-                    head_tok.line,
-                    head_tok.column,
-                )
-        elif tok.kind in ("ident", "bar") and not (
-            tok.kind == "ident" and tok.value == "not"
-        ):
+        elif tok.kind in ("ident", "bar") and tok.value != "not":
             head = self.atom()
-            if head.kind is AtomKind.IRREGULAR:
-                raise IrregularHead(
-                    f"constraint atom {head.name} cannot head a rule",
-                    tok.line,
-                    tok.column,
-                )
+        if head is not None and head.constraint is not None:
+            raise IrregularHead(
+                f"constraint atom {head.name} cannot head a rule", tok.line, tok.column
+            )
         pos: set[AtomId] = set()
         neg: set[AtomId] = set()
         dneg: set[AtomId] = set()
@@ -188,8 +177,8 @@ class _Parser:
 
 
 def parse_program(text: str) -> Program:
-    """Parse program text; choice rules are expanded and the constraint
-    mapping is built from the constraint atoms."""
+    """Parse program text; choice rules are expanded, and each constraint
+    atom carries the constraint parsed from between its bars."""
     return _Parser(text).parse()
 
 

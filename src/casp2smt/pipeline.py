@@ -4,12 +4,13 @@ decode, and render results."""
 from __future__ import annotations
 
 import enum
+import itertools
 import json
 import os
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import AbstractSet, Iterable, Mapping, Optional, Sequence, Tuple, Union
+from typing import AbstractSet, Iterable, Iterator, Optional, Sequence, Tuple, Union
 
 from . import lincon
 from .completion import input_completion
@@ -91,7 +92,7 @@ def classify_fragment(p: Program, kind: LexiconKind) -> Fragment:
     the two-variable unit-coefficient shape (ranking constraints always do)."""
     if kind is LexiconKind.REAL_LINEAR:
         return Fragment.L
-    if all(lincon.is_difference_shape(c) for _, c in p.gamma):
+    if all(lincon.is_difference_shape(a.constraint) for a in p.irregular_atoms):
         return Fragment.DL
     return Fragment.IL
 
@@ -112,14 +113,12 @@ def _check_config(cfg: SolveConfig) -> None:
 
 
 def _induced_gcsp(
-    gamma: Mapping[AtomId, LinearConstraint],
-    scope: AbstractSet[AtomId],
-    x: AbstractSet[AtomId],
+    scope: AbstractSet[AtomId], x: AbstractSet[AtomId]
 ) -> list[LinearConstraint]:
     """Constraints x imposes on the constraint atoms of the scope: the
     constraint of every true one, the complement of every false one."""
-    gcsp = [gamma[a] for a in sorted(x & scope)]
-    gcsp += [negate(gamma[a]) for a in sorted(scope - x)]
+    gcsp = [a.constraint for a in sorted(x & scope)]
+    gcsp += [negate(a.constraint) for a in sorted(scope - x)]
     return gcsp
 
 
@@ -141,28 +140,27 @@ def verify(
 ) -> bool:
     """Definition-level check that x is an answer set of the constraint
     program: an input answer set whose constraint problem is solvable."""
-    atoms = set(p.atoms)
-    if not (set(x) <= atoms and is_input_answer_set(p, x, p.irregular_atoms)):
+    scope = p.irregular_atoms
+    if not (set(x) <= set(p.atoms) and is_input_answer_set(p, x, scope)):
         return False
-    return _feasible(_induced_gcsp(p.gamma_map, atoms & p.irregular_atoms, x), kind, box)
+    return _feasible(_induced_gcsp(scope, x), kind, box)
 
 
 def constraint_models(
     formula,
     vocab: Iterable[AtomId],
-    gamma: Mapping[AtomId, LinearConstraint],
     kind: LexiconKind = LexiconKind.INTEGER_LINEAR,
     box: Tuple[int, int] = DEFAULT_ORACLE_BOX,
     cap: int = ORACLE_CAP,
 ) -> list[frozenset[AtomId]]:
-    """Models of a formula paired with a constraint mapping: propositional
-    models whose induced constraint problem is solvable."""
+    """Models of a formula over atoms that carry their constraints:
+    propositional models whose induced constraint problem is solvable."""
     vocab = tuple(vocab)
-    scope = {a for a in vocab if a in gamma}
+    scope = {a for a in vocab if a.constraint is not None}
     return [
         x
         for x in models_of(formula, vocab, cap)
-        if _feasible(_induced_gcsp(gamma, scope, x), kind, box)
+        if _feasible(_induced_gcsp(scope, x), kind, box)
     ]
 
 
@@ -173,14 +171,12 @@ def _ordered(p: Program, x: AbstractSet[AtomId]) -> Tuple[AtomId, ...]:
 def _encode(p: Program, cfg: SolveConfig, use_ranking: bool):
     sigma_i = p.irregular_atoms
     formula = input_completion(p, sigma_i)
-    gamma = dict(p.gamma)
     if use_ranking:
         ranking = build_ranking_formula(p, sigma_i, full=cfg.ranking_full)
         formula = conj([formula, ranking.formula])
-        gamma.update(ranking.gamma)
-    script = emit_script(to_clauses(formula), gamma, cfg.logic)
+    script = emit_script(to_clauses(formula), cfg.logic)
     extra: list[str] = []
-    program_vars = lincon.constraint_variables(c for _, c in p.gamma)
+    program_vars = lincon.constraint_variables(a.constraint for a in sigma_i)
     if cfg.var_box is not None:
         lo, hi = cfg.var_box
         int_sort = cfg.logic is LexiconKind.INTEGER_LINEAR
@@ -197,37 +193,33 @@ def _encode(p: Program, cfg: SolveConfig, use_ranking: bool):
     return script, program_vars
 
 
-def _solve_oracle(p: Program, cfg: SolveConfig, report: SolveReport) -> None:
+def _solve_oracle(p: Program, cfg: SolveConfig) -> Iterator[AnswerResult]:
+    """Answers by exhaustive semantics checks, in the order of
+    :func:`input_answer_sets`."""
     from .program import input_answer_sets
 
     box = cfg.var_box if cfg.var_box is not None else DEFAULT_ORACLE_BOX
-    limit = cfg.enumerate
-    scope = set(p.atoms) & p.irregular_atoms
-    for x in input_answer_sets(p, p.irregular_atoms, ORACLE_CAP):
-        gcsp = _induced_gcsp(p.gamma_map, scope, x)
+    scope = p.irregular_atoms
+    for x in input_answer_sets(p, scope, ORACLE_CAP):
+        gcsp = _induced_gcsp(scope, x)
         if not cfg.extended:
             if _feasible(gcsp, cfg.logic, box):
-                report.results.append(AnswerResult(_ordered(p, x)))
+                yield AnswerResult(_ordered(p, x))
+        elif cfg.logic is LexiconKind.REAL_LINEAR:
+            witness = lincon.real_witness_1d(gcsp)
+            if witness is not None:
+                yield AnswerResult(_ordered(p, x), witness)
         else:
-            if cfg.logic is LexiconKind.REAL_LINEAR:
-                witness = lincon.real_witness_1d(gcsp)
-                valuations = [] if witness is None else [witness]
-            else:
-                solutions = lincon.gcsp_enumerate_bounded(gcsp, cfg.logic, box[0], box[1])
-                valuations = ({v: Fraction(n) for v, n in s.items()} for s in solutions)
-            for values in valuations:
-                report.results.append(AnswerResult(_ordered(p, x), values))
-                if limit and len(report.results) >= limit:
-                    break
-        if limit and len(report.results) >= limit:
-            break
-    report.status = Status.SAT if report.results else Status.UNSAT
+            for s in lincon.gcsp_enumerate_bounded(gcsp, cfg.logic, box[0], box[1]):
+                yield AnswerResult(_ordered(p, x), {v: Fraction(n) for v, n in s.items()})
 
 
-def _solve_smt(p: Program, cfg: SolveConfig, report: SolveReport, script, program_vars) -> None:
-    """Enumerate through the external solver, one call per answer. A call
-    that ends in UNKNOWN (a solver 'unknown' or a timeout) makes the report
-    UNKNOWN and keeps the answers found before it."""
+def _solve_smt(
+    p: Program, cfg: SolveConfig, script, program_vars
+) -> Iterator[Optional[AnswerResult]]:
+    """Answers through the external solver, one call per answer, each
+    blocked before the next call. A call that ends in UNKNOWN (a solver
+    'unknown' or a timeout) yields None and ends the enumeration."""
     cmd = cfg.solver_cmd or os.environ.get(SOLVER_ENV_VAR)
     if not cmd:
         raise SolverSpawnFailure(
@@ -241,24 +233,18 @@ def _solve_smt(p: Program, cfg: SolveConfig, report: SolveReport, script, progra
     value_scope: Sequence[str] = ()
     if cfg.extended and cfg.var_box is not None:
         value_scope = [v for v in program_vars if v in script.num_symbols]
-    limit = cfg.enumerate
     current = script
     while True:
         outcome = run_solver(current, cmd, cfg.timeout)
         if outcome.status is Status.UNSAT:
-            break
+            return
         if outcome.status is Status.UNKNOWN:
-            report.status = Status.UNKNOWN
+            yield None
             return
         assert outcome.model is not None
         x, valuation = decode(outcome.model, current, program_atoms)
-        report.results.append(
-            AnswerResult(_ordered(p, x), valuation if cfg.extended else None)
-        )
-        if limit and len(report.results) >= limit:
-            break
+        yield AnswerResult(_ordered(p, x), valuation if cfg.extended else None)
         current = block_model(current, outcome.model, atom_scope, value_scope)
-    report.status = Status.SAT if report.results else Status.UNSAT
 
 
 def solve(p: Program, cfg: Optional[SolveConfig] = None) -> SolveReport:
@@ -266,7 +252,8 @@ def solve(p: Program, cfg: Optional[SolveConfig] = None) -> SolveReport:
 
     Auto mode encodes the input completion alone for tight programs and adds
     the ranking formula otherwise; oracle mode computes the same answer sets
-    by exhaustive semantics checks with no external process.
+    by exhaustive semantics checks with no external process. An enumeration
+    that a solver call cuts short is UNKNOWN and keeps the answers before it.
     """
     cfg = cfg or SolveConfig()
     _check_config(cfg)
@@ -276,24 +263,27 @@ def solve(p: Program, cfg: Optional[SolveConfig] = None) -> SolveReport:
     use_ranking = cfg.mode is Mode.FORCE_RANKING or (
         cfg.mode is Mode.AUTO and not tight
     )
-    report = SolveReport(
-        tight=tight,
-        encoding_used=(
-            Encoding.ICOMP_PLUS_RANKING if use_ranking else Encoding.ICOMP_ONLY
-        ),
-        results=[],
-        status=Status.UNKNOWN,
-    )
     script = program_vars = None
     if cfg.emit_path is not None or not cfg.oracle_only:
         script, program_vars = _encode(p, cfg, use_ranking)
     if cfg.emit_path is not None:
         Path(cfg.emit_path).write_text(script.text, encoding="utf-8")
     if cfg.oracle_only:
-        _solve_oracle(p, cfg, report)
+        answers = _solve_oracle(p, cfg)
     else:
-        _solve_smt(p, cfg, report, script, program_vars)
-    return report
+        answers = _solve_smt(p, cfg, script, program_vars)
+    results = list(itertools.islice(answers, cfg.enumerate or None))
+    cut_short = bool(results) and results[-1] is None
+    if cut_short:
+        results.pop()
+    return SolveReport(
+        tight=tight,
+        encoding_used=(
+            Encoding.ICOMP_PLUS_RANKING if use_ranking else Encoding.ICOMP_ONLY
+        ),
+        results=results,
+        status=Status.UNKNOWN if cut_short else Status.SAT if results else Status.UNSAT,
+    )
 
 
 def render_report(r: SolveReport, fmt: str = "text") -> str:

@@ -1,5 +1,9 @@
 """Ground-program representation and exact stable-model semantics.
 
+An irregular atom carries its constraint and is named by the constraint's
+canonical text, so the atoms of a program alone fix the paper's injective
+map from irregular atoms to constraints.
+
 This module is the semantics oracle of the package: answer sets are computed
 directly from the definition (reduct plus least fixpoint of the positive
 remainder), with exhaustive candidate enumeration capped at
@@ -8,33 +12,30 @@ remainder), with exhaustive candidate enumeration capped at
 
 from __future__ import annotations
 
-import enum
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import AbstractSet, Iterable, Iterator, Mapping, Optional, Tuple
+from typing import AbstractSet, Iterable, Iterator, Optional, Tuple
 
-from .errors import HeadsIntersectInput, MissingGamma, OracleCapExceeded
-from .lincon import LinearConstraint, render_constraint
+from .errors import HeadsIntersectInput, OracleCapExceeded
+from .lincon import LinearConstraint, parse_constraint, render_constraint
 
 ORACLE_CAP = 22
 
 
-class AtomKind(enum.Enum):
-    REGULAR = "regular"
-    IRREGULAR = "irregular"
-
-
 @dataclass(frozen=True)
 class AtomId:
-    """A propositional atom; irregular atoms stand proxy for constraints."""
+    """A propositional atom. An irregular atom stands proxy for the
+    constraint it carries; a regular atom carries none.
+
+    Equality and hashing go by name alone: the name of an irregular atom is
+    a function of its constraint, and comparing constraints would slow every
+    set operation of the oracle."""
 
     name: str
-    kind: AtomKind
+    constraint: Optional[LinearConstraint] = field(default=None, compare=False)
 
     def __hash__(self) -> int:
-        # equal atoms have equal names; hashing the kind as well would go
-        # through the Python-level Enum.__hash__ on every set or dict lookup
         return hash(self.name)
 
     def __lt__(self, other: "AtomId") -> bool:
@@ -45,14 +46,16 @@ class AtomId:
 
 
 def atom(name: str) -> AtomId:
-    """Atom with its kind read off the name (bars mark irregular atoms)."""
-    kind = AtomKind.IRREGULAR if name.startswith("|") else AtomKind.REGULAR
-    return AtomId(name, kind)
+    """Atom of a name; a name in bars is parsed as a constraint and gives
+    that constraint's atom, so ``|2*x < 24|`` and ``|x<12|`` are one atom."""
+    if name.startswith("|"):
+        return constraint_atom(parse_constraint(name[1:-1]))
+    return AtomId(name)
 
 
 def constraint_atom(c: LinearConstraint) -> AtomId:
     """The irregular atom of a constraint, named by its canonical text."""
-    return AtomId(f"|{render_constraint(c)}|", AtomKind.IRREGULAR)
+    return AtomId(f"|{render_constraint(c)}|", c)
 
 
 @dataclass(frozen=True)
@@ -81,27 +84,13 @@ def rule(
 
 @dataclass(frozen=True)
 class Program:
-    """Immutable ground program plus the constraint mapping of its irregular
-    atoms. The mapping is injective."""
+    """Immutable ground program. Its irregular atoms carry their constraints,
+    so the rules alone make a constraint answer set program."""
 
     rules: Tuple[Rule, ...]
-    gamma: Tuple[Tuple[AtomId, LinearConstraint], ...] = ()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "rules", tuple(self.rules))
-        pairs = self.gamma.items() if isinstance(self.gamma, Mapping) else self.gamma
-        items = tuple(sorted(pairs, key=lambda kv: kv[0].name))
-        object.__setattr__(self, "gamma", items)
-        if len({c for _, c in items}) != len(items):
-            raise ValueError("gamma must be injective on constraints")
-        known = {a for a, _ in items}
-        for a in self.atoms:
-            if a.kind is AtomKind.IRREGULAR and a not in known:
-                raise MissingGamma(a.name)
-
-    @cached_property
-    def gamma_map(self) -> dict[AtomId, LinearConstraint]:
-        return dict(self.gamma)
 
     @cached_property
     def atoms(self) -> Tuple[AtomId, ...]:
@@ -127,7 +116,8 @@ class Program:
 
     @cached_property
     def irregular_atoms(self) -> frozenset[AtomId]:
-        return frozenset(a for a, _ in self.gamma)
+        """The atoms that carry a constraint."""
+        return frozenset(a for a in self.atoms if a.constraint is not None)
 
 
 def heads(p: Program) -> frozenset[AtomId]:
@@ -158,7 +148,7 @@ def reduct(p: Program, x: AbstractSet[AtomId]) -> Program:
         Rule(head, pos, frozenset(), frozenset())
         for head, pos in _reduct_pairs(p.rules, x)
     )
-    return Program(kept, p.gamma)
+    return Program(kept)
 
 
 def _reduct_pairs(
@@ -225,7 +215,7 @@ def enumerate_answer_sets(p: Program, cap: int = ORACLE_CAP) -> list[frozenset[A
 
 
 def with_facts(p: Program, xs: Iterable[AtomId]) -> Program:
-    return Program(p.rules + tuple(rule(a) for a in sorted(xs)), p.gamma)
+    return Program(p.rules + tuple(rule(a) for a in sorted(xs)))
 
 
 def input_answer_sets(

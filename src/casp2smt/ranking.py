@@ -17,13 +17,7 @@ from .completion import body_formula
 from .errors import PartialRanking, RankVarForIrregular
 from .formula import Atom, PropFormula, conj, disj, implies, unique_name
 from .lincon import LinearConstraint, LinExpr, Rel
-from .program import (
-    AtomId,
-    AtomKind,
-    Program,
-    constraint_atom,
-    require_heads_outside_input,
-)
+from .program import AtomId, Program, constraint_atom, require_heads_outside_input
 
 RANK_PREFIX = "__lr_"
 
@@ -99,7 +93,7 @@ def exists_input_level_ranking(
 def fresh_rank_var(a: AtomId, used: Optional[set[str]] = None) -> str:
     """Deterministic integer-variable name for an atom's rank. A collision
     after sanitization gets a numeric suffix in first-use order."""
-    if a.kind is AtomKind.IRREGULAR:
+    if a.constraint is not None:
         raise RankVarForIrregular(f"{a.name} is never ranked")
     name = RANK_PREFIX + re.sub(r"[^A-Za-z0-9_]", "_", a.name)
     return name if used is None else unique_name(name, used)
@@ -108,19 +102,12 @@ def fresh_rank_var(a: AtomId, used: Optional[set[str]] = None) -> str:
 @dataclass(frozen=True)
 class RankingFormula:
     """Conjunction of per-atom support implications, plus the fresh ranking
-    atoms and the integer rank variables they live on."""
+    atoms (sorted by name, each carrying its difference constraint) and the
+    integer rank variables they live on."""
 
     formula: PropFormula
-    ranking_atoms: Tuple[Tuple[AtomId, LinearConstraint], ...]
+    ranking_atoms: Tuple[AtomId, ...]
     rank_vars: frozenset[str]
-
-    @property
-    def gamma(self) -> dict[AtomId, LinearConstraint]:
-        return dict(self.ranking_atoms)
-
-    @property
-    def atoms(self) -> frozenset[AtomId]:
-        return frozenset(a for a, _ in self.ranking_atoms)
 
 
 def build_ranking_formula(
@@ -140,7 +127,6 @@ def build_ranking_formula(
     var_names: dict[AtomId, str] = {}
     used: set[str] = set()
     pair_atoms: dict[tuple[AtomId, AtomId], AtomId] = {}
-    gamma: dict[AtomId, LinearConstraint] = {}
 
     def rank_var(a: AtomId) -> str:
         if a not in var_names:
@@ -153,9 +139,7 @@ def build_ranking_formula(
                 ((rank_var(a), Fraction(1)), (rank_var(b), Fraction(-1)))
             )
             c = LinearConstraint(expr, Rel.GE, Fraction(1))
-            ra = constraint_atom(c)
-            pair_atoms[(a, b)] = ra
-            gamma[ra] = c
+            pair_atoms[(a, b)] = constraint_atom(c)
         return pair_atoms[(a, b)]
 
     conjuncts: list[PropFormula] = []
@@ -182,11 +166,8 @@ def build_ranking_formula(
         choices += [body_formula(r) for r in flat]
         conjuncts.append(implies(Atom(a), disj(choices)))
 
-    rank_vars = frozenset(
-        v for c in gamma.values() for v in c.variables
-    )
     return RankingFormula(
         formula=conj(conjuncts),
-        ranking_atoms=tuple(sorted(gamma.items(), key=lambda kv: kv[0].name)),
-        rank_vars=rank_vars,
+        ranking_atoms=tuple(sorted(pair_atoms.values())),
+        rank_vars=frozenset(var_names.values()),
     )

@@ -12,15 +12,10 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence, Tuple, Union
 
-from .errors import (
-    MissingGamma,
-    SolverProtocolError,
-    SolverSpawnFailure,
-    UnknownSymbol,
-)
+from .errors import SolverProtocolError, SolverSpawnFailure, UnknownSymbol
 from .formula import ClauseSet, unique_name
 from .lincon import LexiconKind, LinearConstraint, Rel
-from .program import AtomId, AtomKind
+from .program import AtomId
 from .ranking import RANK_PREFIX
 
 _SAFE_SYMBOL = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -49,7 +44,7 @@ def symbol_table(names: Iterable[AtomId]) -> dict[AtomId, str]:
     table: dict[AtomId, str] = {}
     used: set[str] = set()
     for a in sorted(set(names)):
-        if a.kind is AtomKind.REGULAR and _SAFE_SYMBOL.fullmatch(a.name):
+        if a.constraint is None and _SAFE_SYMBOL.fullmatch(a.name):
             base = a.name
         else:
             base = "b__" + _sanitize(a.name)
@@ -130,15 +125,11 @@ class SmtScript:
         )
 
 
-def emit_script(
-    clauses: ClauseSet,
-    gamma: Mapping[AtomId, LinearConstraint],
-    kind: LexiconKind,
-) -> SmtScript:
+def emit_script(clauses: ClauseSet, kind: LexiconKind) -> SmtScript:
     """Booleans for the clause atoms, numeric symbols for the constraint
-    variables, and one biconditional bridge per occurring constraint atom.
-    The bridge pins both polarities, so a false constraint atom really does
-    assert the complement constraint."""
+    variables, and one biconditional bridge per occurring constraint atom,
+    to the constraint the atom carries. The bridge pins both polarities, so
+    a false constraint atom really does assert the complement constraint."""
     logic = "QF_LIA" if kind is LexiconKind.INTEGER_LINEAR else "QF_LRA"
     int_sort = kind is LexiconKind.INTEGER_LINEAR
     atoms = clauses.atoms()
@@ -146,11 +137,9 @@ def emit_script(
     bridged = []
     num_symbols: set[str] = set()
     for a in sorted(atoms):
-        if a.kind is not AtomKind.IRREGULAR:
+        c = a.constraint
+        if c is None:
             continue
-        if a not in gamma:
-            raise MissingGamma(a.name)
-        c = gamma[a]
         bridged.append(f"(assert (= {table[a]} {render_theory_atom(c, int_sort)}))")
         num_symbols.update(c.variables)
     clause_asserts = [_clause_assert(clause, table) for clause in clauses.clauses]

@@ -88,32 +88,23 @@ def random_cas_program(
     base = (random_tight_program if tight else random_program)(
         rng, max_atoms, max_rules
     )
-    gamma: dict[AtomId, LinearConstraint] = {}
-    irregulars: list[AtomId] = []
-    for _ in range(rng.randint(1, max_constraints)):
-        c = random_constraint(rng, n_vars)
-        a = constraint_atom(c)
-        gamma[a] = c
-        irregulars.append(a)
+    irregulars = [
+        constraint_atom(random_constraint(rng, n_vars))
+        for _ in range(rng.randint(1, max_constraints))
+    ]
     rules = []
-    used: set[AtomId] = set()
     for r in base.rules:
         pos, neg, dneg = set(r.pos), set(r.neg), set(r.dneg)
         for a in irregulars:
             slot = rng.random()
             if slot < 0.25:
                 pos.add(a)
-                used.add(a)
             elif slot < 0.4:
                 neg.add(a)
-                used.add(a)
             elif slot < 0.5:
                 dneg.add(a)
-                used.add(a)
         rules.append(Rule(r.head, frozenset(pos), frozenset(neg), frozenset(dneg)))
-    # a constraint atom nobody mentions has no business in gamma
-    gamma = {a: c for a, c in gamma.items() if a in used}
-    return Program(tuple(rules), gamma)
+    return Program(tuple(rules))
 
 
 def random_subset(rng: random.Random, items) -> frozenset:

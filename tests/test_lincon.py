@@ -22,6 +22,8 @@ from casp2smt.lincon import (
     real_witness_1d,
     render_constraint,
 )
+from casp2smt.program import atom, constraint_atom
+from casp2smt.smtlib import symbol_table
 
 INT = LexiconKind.INTEGER_LINEAR
 
@@ -88,7 +90,9 @@ class TestNormalization:
         assert c("x + x < 4") == c("2*x < 4") == c("x < 2")
 
     def test_rejects_garbage(self):
-        for bad in ("< 4", "x 4", "x <", "x ? 4", "", "x < 4 y"):
+        garbage = ("< 4", "x 4", "x <", "x ? 4", "", "x < 4 y")
+        # terms whose coefficients all cancel leave no variable
+        for bad in garbage + ("x - x >= 1", "0*x < 2", "2*y - y - y = 0"):
             with pytest.raises(ParseError):
                 parse_constraint(bad)
 
@@ -141,6 +145,16 @@ def test_scaling_rebuilds_the_same_constraint(k, factor):
     rel = k.rel if factor > 0 else k.rel.mirror
     scaled = LinearConstraint(k.expr.scaled(factor), rel, k.bound * factor)
     assert scaled == k and hash(scaled) == hash(k)
+
+
+@given(constraints(), NONZERO)
+def test_atom_text_gives_the_constraint_atom(k, factor):
+    a = atom(f"|{render_constraint(k)}|")
+    assert a == constraint_atom(k) and a.constraint == k
+    rel = k.rel if factor > 0 else k.rel.mirror
+    scaled = constraint_atom(LinearConstraint(k.expr.scaled(factor), rel, k.bound * factor))
+    assert scaled == a and scaled.constraint == k
+    assert symbol_table([scaled]) == symbol_table([a])
 
 
 @given(raw_fields(), st.data())

@@ -42,6 +42,13 @@ class TestParse:
     def test_equivalent_constraint_texts_share_one_atom(self):
         p = parse_program(":- |x < 12|.\n:- |1*x < 12|.\n:- | 2*x<24 |.\n")
         assert len(p.irregular_atoms) == 1
+        first, second, third = (next(iter(r.pos)) for r in p.rules)
+        assert first is second is third
+
+    def test_each_atom_is_one_object(self):
+        first, second = parse_program("a :- b.\nb :- a.\n").rules
+        assert first.head is next(iter(second.pos))
+        assert second.head is next(iter(first.pos))
 
     def test_duplicate_body_literals_collapse(self):
         p = parse_program("a :- b, b, not c, not c.")

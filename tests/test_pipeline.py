@@ -276,6 +276,14 @@ class TestOracleCap:
         )
 
 
+class TestBadInput:
+    def test_constraint_without_variables_is_a_parse_error(self, tmp_path, capsys):
+        program = tmp_path / "cancel.lp"
+        program.write_text("a :- |x - x >= 1|.\n")
+        assert cli.main([str(program), "--oracle"]) == cli.EXIT_PARSE_ERROR
+        assert "constraint has no variables" in capsys.readouterr().err
+
+
 class TestRenderReport:
     def test_text_single_answer(self, pi1_text):
         report = solve(parse_program(pi1_text), SolveConfig(oracle_only=True))

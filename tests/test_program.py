@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from casp2smt.errors import HeadsIntersectInput, MissingGamma, OracleCapExceeded
+from casp2smt.errors import HeadsIntersectInput, OracleCapExceeded
 from casp2smt.parser import parse_program
 from casp2smt.program import (
     Program,
@@ -189,23 +189,12 @@ class TestHeads:
 
 
 class TestProgramInvariants:
-    def test_gamma_must_cover_occurring_irregulars(self):
-        bad = Rule(a, frozenset({atom("|x<1|")}), frozenset(), frozenset())
-        with pytest.raises(MissingGamma):
-            Program((bad,))
-
-    def test_gamma_injectivity_enforced(self):
-        from casp2smt.lincon import parse_constraint
-
-        r = Rule(a, frozenset({atom("|x<1|"), atom("|y<1|")}), frozenset(), frozenset())
-        with pytest.raises(ValueError):
-            Program(
-                (r,),
-                {
-                    atom("|x<1|"): parse_constraint("x < 1"),
-                    atom("|y<1|"): parse_constraint("x < 1"),
-                },
-            )
+    def test_irregular_atoms_are_the_atoms_with_a_constraint(self):
+        r = Rule(a, frozenset({atom("|2*x < 2|"), b_}), frozenset({atom("|y<1|")}), frozenset())
+        p = Program((r,))
+        assert names(p.irregular_atoms) == ["|x<1|", "|y<1|"]
+        assert {str(x.constraint) for x in p.irregular_atoms} == {"x<1", "y<1"}
+        assert a.constraint is None
 
     def test_atoms_in_first_occurrence_order(self, pi1_text):
         p = P(pi1_text)

@@ -176,7 +176,7 @@ class TestBuildRankingFormula:
         p = parse_program("a :- b.\nb :- a.\n{c}.\na :- c.\n")
         rf = build_ranking_formula(p, frozenset())
         assert len(rf.ranking_atoms) == 3
-        assert set(rf.gamma.values()) == {
+        assert {t.constraint for t in rf.ranking_atoms} == {
             rank_pair("a", "b"),
             rank_pair("a", "c"),
             rank_pair("b", "a"),
@@ -203,7 +203,8 @@ class TestBuildRankingFormula:
             ),
         )
         assert rf.formula == expected
-        assert rf.gamma == {constraint_atom(pair): pair}
+        assert rf.ranking_atoms == (constraint_atom(pair),)
+        assert rf.ranking_atoms[0].constraint == pair
 
     def test_all_input_positive_bodies_make_it_trivial(self):
         p = parse_program("{a}.\nb :- |x < 1|, not a.\n:- |x > 5|.\n")
@@ -222,20 +223,20 @@ class TestBuildRankingFormula:
 
         p = parse_program("a :- b.\nb :- a.\n{c}.\na :- c.\n")
         rf = build_ranking_formula(p, frozenset())
-        assert all(is_difference_shape(k) for k in rf.gamma.values())
+        assert all(is_difference_shape(t.constraint) for t in rf.ranking_atoms)
 
 
 class TestRankingFormulaSemantics:
     def exists_extension(self, p, rf, x, hi):
         """Literal check: some subset of ranking atoms makes the formula true
         with a solvable difference problem."""
-        ratoms = sorted(rf.atoms)
+        ratoms = rf.ranking_atoms
         for bits in itertools.product((False, True), repeat=len(ratoms)):
             xi = frozenset(t for t, bit in zip(ratoms, bits) if bit)
             if not eval_formula(rf.formula, frozenset(x) | xi):
                 continue
-            gcsp = [rf.gamma[t] for t in sorted(xi)]
-            gcsp += [negate(rf.gamma[t]) for t in sorted(set(ratoms) - xi)]
+            gcsp = [t.constraint for t in sorted(xi)]
+            gcsp += [negate(t.constraint) for t in sorted(set(ratoms) - xi)]
             if gcsp_solve_bounded(gcsp, INT, 0, hi) is not None:
                 return True
         return False

@@ -3,8 +3,9 @@
 The SHA-256 of the script ``solve`` writes is pinned for the paper's program
 PI1 and for a reachability ring with chords: over QF_LIA by mode and ranking
 variant, and over QF_LRA, under a variable box and with bounded rank
-variables. A change that sets out to alter the encoding updates these pins
-and says so; any other change must leave them untouched.
+variables. A third, non-tight program pins multivariate constraints over
+QF_LIA and QF_LRA. A change that sets out to alter the encoding updates these
+pins and says so; any other change must leave them untouched.
 """
 
 import hashlib
@@ -69,6 +70,24 @@ CONFIGS = {
     "bound_ranks": dict(mode=Mode.FORCE_RANKING, bound_ranks=True),
 }
 
+# a positive cycle through p and q; constraints over several variables with
+# negative coefficients, one of them under `not not`; and two constraint
+# atoms, x+y>=12 and x-y>=12, whose SMT symbols collide before the suffix
+MIXED = """\
+{e}.
+p :- q, e.
+q :- p.
+q :- |x + y >= 12|.
+p :- not not |x - y >= 12|, not r.
+r :- |2*x - 3*y < 5|, not p.
+:- r, |-x + 2*z <= 4|.
+"""
+
+MIXED_PINS = {
+    "lia": "b7a64d77124b750bde2529ee76553bffea6979b09b649f4de34becbb22facdd9",
+    "lra": "af076f41d1ac7bd6dd76cf81730eabc177e65055cbf5cf5d5f8039d664b75d20",
+}
+
 TEXTS = {"PI1": PI1, "RING12": RING12}
 
 
@@ -100,3 +119,13 @@ def test_script_hash_is_pinned_per_configuration(name, config, stub_solver, tmp_
     )
     digest = hashlib.sha256(target.read_bytes()).hexdigest()
     assert digest == CONFIG_PINS[(name, config)]
+
+
+@pytest.mark.parametrize("logic", sorted(MIXED_PINS))
+def test_multivariate_script_hash_is_pinned(logic, stub_solver, tmp_path):
+    target = tmp_path / "out.smt2"
+    kind = LexiconKind.REAL_LINEAR if logic == "lra" else LexiconKind.INTEGER_LINEAR
+    solve(parse_program(MIXED), SolveConfig(solver_cmd=stub_solver, logic=kind, emit_path=target))
+    text = target.read_text()
+    assert "(declare-fun b__x_y_ge_12_1 () Bool)" in text
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == MIXED_PINS[logic]

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from casp2smt.completion import input_completion
-from casp2smt.errors import MissingGamma, SolverSpawnFailure, UnknownSymbol
+from casp2smt.errors import SolverSpawnFailure, UnknownSymbol
 from casp2smt.formula import ClauseSet, to_clauses
 from casp2smt.lincon import LexiconKind
 from casp2smt.parser import parse_program
@@ -34,7 +34,7 @@ a, b_ = atom("a"), atom("b")
 def pi1_script(pi1_text):
     p = parse_program(pi1_text)
     clauses = to_clauses(input_completion(p, p.irregular_atoms))
-    return p, clauses, emit_script(clauses, p.gamma_map, INT)
+    return p, clauses, emit_script(clauses, INT)
 
 
 class TestSymbols:
@@ -46,9 +46,9 @@ class TestSymbols:
         assert t[atom("|x>=12|")] == "b__x_ge_12"
 
     def test_collisions_get_suffixes(self):
-        one, two = atom("|x >= 12|"), atom("|x>=12|")
+        one, two = atom("|x + y >= 12|"), atom("|x - y >= 12|")
         t = symbol_table([one, two])
-        assert sorted(t.values()) == ["b__x_ge_12", "b__x_ge_12_1"]
+        assert t == {one: "b__x_y_ge_12", two: "b__x_y_ge_12_1"}
 
     def test_injective_on_random_names(self):
         rng = random.Random(71)
@@ -66,7 +66,7 @@ class TestEmit:
 
     def test_clause_rendering(self):
         clauses = ClauseSet((((a, True), (b_, False)),), frozenset())
-        script = emit_script(clauses, {}, INT)
+        script = emit_script(clauses, INT)
         assert script.asserts == ("(assert (or a (not b)))",)
 
     def test_deterministic_bytes(self, pi1_text):
@@ -74,15 +74,10 @@ class TestEmit:
         _, _, second = pi1_script(pi1_text)
         assert first.text == second.text
 
-    def test_missing_gamma(self):
-        clauses = ClauseSet((((atom("|x<1|"), True),),), frozenset())
-        with pytest.raises(MissingGamma):
-            emit_script(clauses, {}, INT)
-
     def test_real_logic_and_sorts(self, pi1_text):
         p = parse_program(pi1_text)
         clauses = to_clauses(input_completion(p, p.irregular_atoms))
-        script = emit_script(clauses, p.gamma_map, REAL)
+        script = emit_script(clauses, REAL)
         assert script.logic == "QF_LRA"
         assert "(declare-fun x () Real)" in script.text
 
@@ -110,7 +105,7 @@ COLLIDING = "{b__x_ge_1}.\nok :- b__x_ge_1, |x >= 1|.\n:- not ok.\n"
 def colliding_script():
     p = parse_program(COLLIDING)
     clauses = to_clauses(input_completion(p, p.irregular_atoms))
-    return p, clauses, emit_script(clauses, p.gamma_map, INT)
+    return p, clauses, emit_script(clauses, INT)
 
 
 class TestBlockModel:
@@ -260,8 +255,8 @@ class TestBridgeFaithfulness:
                 continue
             checked += 1
             clauses = to_clauses(input_completion(p, p.irregular_atoms))
-            script = emit_script(clauses, p.gamma_map, INT)
-            for v in {v for _, c in p.gamma for v in c.variables}:
+            script = emit_script(clauses, INT)
+            for v in {v for x in p.irregular_atoms for v in x.constraint.variables}:
                 script = script.with_asserts(
                     [f"(assert (and (<= (- 8) {v}) (<= {v} 8)))"]
                 )
@@ -280,7 +275,6 @@ class TestBridgeFaithfulness:
             expected = constraint_models(
                 input_completion(p, p.irregular_atoms),
                 p.atoms,
-                p.gamma_map,
                 box=(-8, 8),
             )
             assert families(seen) == families(expected)
