@@ -84,7 +84,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
         nargs=2,
         type=int,
         metavar=("LO", "HI"),
-        help="bounds for constraint variables (required when enumerating "
+        help="bounds for constraint variables, applied by the oracle and the "
+        "solver over the integers and the reals (required when enumerating "
         "extended answers)",
     )
     parser.add_argument(

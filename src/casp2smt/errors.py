@@ -26,10 +26,6 @@ class UnboundVariable(Casp2SmtError):
         self.name = name
 
 
-class UnsupportedMultivariate(Casp2SmtError):
-    """Interval reasoning only covers constraints over a single variable."""
-
-
 class PartialRanking(Casp2SmtError):
     """A level ranking does not assign every atom it must rank."""
 

@@ -1,23 +1,26 @@
-"""Linear and integer linear constraints, valuations, and bounded solving.
+"""Linear and integer linear constraints, valuations, and their solving.
 
-A constraint has the shape ``a1*x1 + ... + an*xn <rel> k``. All arithmetic is
-exact (:class:`fractions.Fraction`); floats never enter a satisfaction check,
-so evaluation results are bit-stable.
+A constraint has the shape ``a1*x1 + ... + an*xn <rel> k`` with at least one
+variable. All arithmetic is exact (:class:`fractions.Fraction`); floats never
+enter a satisfaction check, so evaluation results are bit-stable.
 
 Every :class:`LinearConstraint` is canonical once built, so constraints that
 differ only by a rescaling are equal, hash alike and render the same text.
+
+Over the integers a system is solved by search inside a box; over the reals,
+exactly and in any number of variables, by :func:`real_solution`.
 """
 
 from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
-from .errors import ParseError, UnboundVariable, UnsupportedMultivariate
+from .errors import ParseError, UnboundVariable
 
 NumberLike = Union[int, Fraction]
 
@@ -108,12 +111,6 @@ class LinExpr:
     def variables(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.terms)
 
-    def coeff(self, name: str) -> Fraction:
-        for var, c in self.terms:
-            if var == name:
-                return c
-        return Fraction(0)
-
     def scaled(self, factor: Fraction) -> "LinExpr":
         return LinExpr(tuple((v, c * factor) for v, c in self.terms))
 
@@ -129,7 +126,8 @@ class LinExpr:
 @dataclass(frozen=True)
 class LinearConstraint:
     """``expr rel bound`` in canonical form: integer coefficients with overall
-    gcd 1 (bound included) and a positive first coefficient."""
+    gcd 1 (bound included) and a positive first coefficient. The expression
+    must have a term, so a constraint always has a variable."""
 
     expr: LinExpr
     rel: Rel
@@ -137,15 +135,16 @@ class LinearConstraint:
 
     def __post_init__(self) -> None:
         expr, rel, bound = self.expr, self.rel, Fraction(self.bound)
-        if expr.terms:
-            scale = lcm(bound.denominator, *(c.denominator for _, c in expr.terms))
-            if scale > 1:
-                expr, bound = expr.scaled(Fraction(scale)), bound * scale
-            g = gcd(int(bound), *(int(c) for _, c in expr.terms))
-            if g > 1:
-                expr, bound = expr.scaled(Fraction(1, g)), bound / g
-            if expr.terms[0][1] < 0:
-                expr, bound, rel = expr.scaled(Fraction(-1)), -bound, rel.mirror
+        if not expr.terms:
+            raise ValueError("a constraint needs a variable")
+        scale = lcm(bound.denominator, *(c.denominator for _, c in expr.terms))
+        if scale > 1:
+            expr, bound = expr.scaled(Fraction(scale)), bound * scale
+        g = gcd(int(bound), *(int(c) for _, c in expr.terms))
+        if g > 1:
+            expr, bound = expr.scaled(Fraction(1, g)), bound / g
+        if expr.terms[0][1] < 0:
+            expr, bound, rel = expr.scaled(Fraction(-1)), -bound, rel.mirror
         object.__setattr__(self, "expr", expr)
         object.__setattr__(self, "rel", rel)
         object.__setattr__(self, "bound", bound)
@@ -194,10 +193,6 @@ def _boxed_solutions(
     position = {name: i for i, name in enumerate(order)}
     by_last: list[list[LinearConstraint]] = [[] for _ in order]
     for c in cs:
-        if not c.variables:
-            if not evaluate(c, {}):
-                return
-            continue
         by_last[max(position[v] for v in c.variables)].append(c)
 
     assignment: dict[str, int] = {}
@@ -239,98 +234,96 @@ def gcsp_enumerate_bounded(
     return list(_boxed_solutions(cs, kind, lo, hi, variables))
 
 
-@dataclass
-class _Interval:
-    lo: Optional[Fraction] = None
-    lo_strict: bool = False
-    hi: Optional[Fraction] = None
-    hi_strict: bool = False
-    punctures: set = field(default_factory=set)
-
-    def add_lower(self, v: Fraction, strict: bool) -> None:
-        if self.lo is None or v > self.lo or (v == self.lo and strict):
-            self.lo, self.lo_strict = v, strict
-
-    def add_upper(self, v: Fraction, strict: bool) -> None:
-        if self.hi is None or v < self.hi or (v == self.hi and strict):
-            self.hi, self.hi_strict = v, strict
-
-    def feasible(self) -> bool:
-        if self.lo is None or self.hi is None or self.lo < self.hi:
-            return True
-        if self.lo > self.hi:
-            return False
-        # degenerate [v, v]: both ends closed and the point not punctured
-        if self.lo_strict or self.hi_strict:
-            return False
-        return self.lo not in self.punctures
+# a row  sum(coeff * var) <= k,  or < k when strict
+_Row = tuple[dict[str, Fraction], bool, Fraction]
 
 
-def _intervals(cs: Iterable[LinearConstraint]) -> Optional[dict[str, _Interval]]:
-    """The interval of each variable of a univariate system over the reals,
-    or None when the system is infeasible. Inequalities track open/closed
-    endpoints; a disequality punctures the interval."""
-    intervals: dict[str, _Interval] = {}
-    for c in cs:
-        names = c.variables
-        if len(names) > 1:
-            raise UnsupportedMultivariate(f"constraint '{c}' has {len(names)} variables")
-        if not names:
-            if not evaluate(c, {}):
-                return None
-            continue
-        # the canonical form makes the single coefficient positive
-        name = names[0]
-        k = c.bound / c.expr.coeff(name)
-        box = intervals.setdefault(name, _Interval())
-        if c.rel is Rel.LT:
-            box.add_upper(k, True)
-        elif c.rel is Rel.LE:
-            box.add_upper(k, False)
-        elif c.rel is Rel.GT:
-            box.add_lower(k, True)
-        elif c.rel is Rel.GE:
-            box.add_lower(k, False)
-        elif c.rel is Rel.EQ:
-            box.add_lower(k, False)
-            box.add_upper(k, False)
-        else:
-            box.punctures.add(k)
-    return intervals if all(box.feasible() for box in intervals.values()) else None
-
-
-def real_feasible_1d(cs: Iterable[LinearConstraint]) -> bool:
-    """Interval-intersection feasibility over the reals, one variable per
-    constraint."""
-    return _intervals(cs) is not None
-
-
-def real_witness_1d(cs: Iterable[LinearConstraint]) -> Optional[dict[str, Fraction]]:
-    """A rational witness for a feasible univariate system, or None."""
-    intervals = _intervals(cs)
-    if intervals is None:
+def _eliminate(rows: list[_Row], order: Sequence[str]) -> Optional[list[list[_Row]]]:
+    """Fourier-Motzkin elimination of the variables in order: the rows in
+    force as each one is eliminated, or None when the rows left without
+    variables are contradictory."""
+    stages = []
+    for var in order:
+        stages.append(rows)
+        kept, lower, upper = [], [], []
+        for coeffs, strict, k in rows:
+            a = coeffs.get(var, 0)
+            if a == 0:
+                kept.append((coeffs, strict, k))
+                continue
+            # scaled so that var has coefficient 1 (upper) or -1 (lower)
+            unit = {v: c / abs(a) for v, c in coeffs.items() if v != var}
+            (upper if a > 0 else lower).append((unit, strict, k / abs(a)))
+        for lc, ls, lk in lower:
+            for uc, us, uk in upper:
+                summed = {v: lc.get(v, 0) + uc.get(v, 0) for v in {**lc, **uc}}
+                kept.append(({v: c for v, c in summed.items() if c}, ls or us, lk + uk))
+        rows = kept
+    if any(k < 0 or (strict and k == 0) for _, strict, k in rows):
         return None
-    return {name: _pick_value(intervals[name]) for name in sorted(intervals)}
+    return stages
 
 
-def _pick_value(box: _Interval) -> Fraction:
-    if box.lo is not None and box.hi is not None and box.lo == box.hi:
-        return box.lo
-    # pick a closed subinterval strictly inside the feasible set, then walk
-    # midpoints until clear of the finitely many punctures
-    if box.lo is not None and box.hi is not None:
-        a, b = box.lo + (box.hi - box.lo) / 4, box.lo + (box.hi - box.lo) / 2
-    elif box.lo is not None:
-        a, b = box.lo + 1, box.lo + 2
-    elif box.hi is not None:
-        a, b = box.hi - 2, box.hi - 1
-    else:
-        a, b = Fraction(0), Fraction(1)
-    candidate = a
-    while candidate in box.punctures:
-        b = (a + b) / 2
-        candidate = b
-    return candidate
+def real_solution(
+    cs: Iterable[LinearConstraint], box: Optional[tuple[int, int]] = None
+) -> Optional[dict[str, Fraction]]:
+    """An exact rational solution of the system over the reals, or None when
+    there is none. A box bounds every variable of the constraints.
+
+    Each disequality in turn becomes the strict side, ``<`` or ``>``, that
+    keeps the rows feasible; when neither does, the system is infeasible.
+    The greedy choice is exact. Finitely many hyperplanes cover a nonempty
+    convex set P only when one of them contains P. An open half-space that
+    meets P cuts it without changing its affine hull, so a hyperplane that
+    does not contain P does not contain the cut either."""
+    cs = list(cs)
+    order = constraint_variables(cs)
+    if box is not None:
+        cs += [
+            LinearConstraint(LinExpr.of({v: 1}), rel, bound)
+            for v in order
+            for rel, bound in ((Rel.GE, box[0]), (Rel.LE, box[1]))
+        ]
+    rows: list[_Row] = []
+    splits: list[tuple[_Row, _Row]] = []
+    for c in cs:
+        below = (dict(c.expr.terms), c.rel in (Rel.LT, Rel.NE), c.bound)
+        above = ({v: -a for v, a in c.expr.terms}, c.rel in (Rel.GT, Rel.NE), -c.bound)
+        if c.rel is Rel.NE:
+            splits.append((below, above))
+            continue
+        if c.rel in (Rel.LT, Rel.LE, Rel.EQ):
+            rows.append(below)
+        if c.rel in (Rel.GT, Rel.GE, Rel.EQ):
+            rows.append(above)
+    stages = _eliminate(rows, order)
+    for below, above in splits:
+        if stages is None:
+            return None
+        rows.append(below)
+        stages = _eliminate(rows, order)
+        if stages is None:
+            rows[-1] = above
+            stages = _eliminate(rows, order)
+    if stages is None:
+        return None
+    # back-substitution: the midpoint of the bounds, one past the only bound,
+    # or 0; each lies in the nonempty interval the elimination leaves
+    value: dict[str, Fraction] = {}
+    for var, var_rows in reversed(list(zip(order, stages))):
+        lows, highs = [], []
+        for coeffs, _, k in var_rows:
+            a = coeffs.get(var, 0)
+            if a != 0:
+                b = (k - sum(c * value[v] for v, c in coeffs.items() if v != var)) / a
+                (highs if a > 0 else lows).append(b)
+        if lows and highs:
+            value[var] = (max(lows) + min(highs)) / 2
+        elif lows or highs:
+            value[var] = max(lows) + 1 if lows else min(highs) - 1
+        else:
+            value[var] = Fraction(0)
+    return dict(sorted(value.items()))
 
 
 def is_difference_shape(c: LinearConstraint) -> bool:
@@ -420,17 +413,15 @@ def parse_constraint(text: str, line: int = 0, col: int = 0) -> LinearConstraint
     bound = number()
     if pos != len(tokens):
         raise ParseError(f"trailing input {peek()[1]!r} in constraint", line, peek()[2])
-    c = LinearConstraint(LinExpr.of(coeffs), rel, bound)
-    if not c.variables:
+    expr = LinExpr.of(coeffs)
+    if not expr.terms:
         # zero terms are dropped, so |x - x >= 1| has none left
         raise ParseError("constraint has no variables", line, col)
-    return c
+    return LinearConstraint(expr, rel, bound)
 
 
 def render_constraint(c: LinearConstraint) -> str:
     """Compact canonical text of the constraint, e.g. x>=12."""
-    if not c.expr.terms:
-        return f"0{c.rel.value}{c.bound}"
     parts: list[str] = []
     for i, (name, coeff) in enumerate(c.expr.terms):
         sign = "-" if coeff < 0 else ("+" if i else "")

@@ -30,7 +30,8 @@ from .smtlib import (
 
 SOLVER_ENV_VAR = "CASP2SMT_SOLVER"
 
-# default box for oracle-side feasibility checks, per variable
+# box of the integer search, per variable, when the caller gives none; the
+# reals are searched exactly and stay unbounded without a box
 DEFAULT_ORACLE_BOX = (-32, 32)
 
 
@@ -122,35 +123,48 @@ def _induced_gcsp(
     return gcsp
 
 
-def _feasible(
-    gcsp: Sequence[LinearConstraint], kind: LexiconKind, box: Tuple[int, int]
-) -> bool:
-    """Exact interval check over the reals, bounded search in the box over
-    the integers."""
+def _solutions(
+    gcsp: Sequence[LinearConstraint],
+    kind: LexiconKind,
+    box: Optional[Tuple[int, int]],
+    every: bool = False,
+) -> list[dict[str, Fraction]]:
+    """Solutions of a constraint problem, empty when it has none: over the
+    reals one exact witness, over the integers the first solution or every
+    one. The box bounds the variables in both domains; the integer search
+    falls back to :data:`DEFAULT_ORACLE_BOX`."""
     if kind is LexiconKind.REAL_LINEAR:
-        return lincon.real_feasible_1d(gcsp)
-    return lincon.gcsp_solve_bounded(gcsp, kind, box[0], box[1]) is not None
+        found = [lincon.real_solution(gcsp, box)]
+    else:
+        lo, hi = box if box is not None else DEFAULT_ORACLE_BOX
+        if every:
+            found = lincon.gcsp_enumerate_bounded(gcsp, kind, lo, hi)
+        else:
+            found = [lincon.gcsp_solve_bounded(gcsp, kind, lo, hi)]
+    return [{v: Fraction(n) for v, n in s.items()} for s in found if s is not None]
 
 
 def verify(
     p: Program,
     x: AbstractSet[AtomId],
-    box: Tuple[int, int],
+    box: Optional[Tuple[int, int]],
     kind: LexiconKind = LexiconKind.INTEGER_LINEAR,
 ) -> bool:
     """Definition-level check that x is an answer set of the constraint
-    program: an input answer set whose constraint problem is solvable."""
+    program: an input answer set whose constraint problem is solvable. The
+    box bounds the variables in both domains; the integer search falls back
+    to :data:`DEFAULT_ORACLE_BOX`."""
     scope = p.irregular_atoms
     if not (set(x) <= set(p.atoms) and is_input_answer_set(p, x, scope)):
         return False
-    return _feasible(_induced_gcsp(scope, x), kind, box)
+    return bool(_solutions(_induced_gcsp(scope, x), kind, box))
 
 
 def constraint_models(
     formula,
     vocab: Iterable[AtomId],
     kind: LexiconKind = LexiconKind.INTEGER_LINEAR,
-    box: Tuple[int, int] = DEFAULT_ORACLE_BOX,
+    box: Optional[Tuple[int, int]] = None,
     cap: int = ORACLE_CAP,
 ) -> list[frozenset[AtomId]]:
     """Models of a formula over atoms that carry their constraints:
@@ -160,7 +174,7 @@ def constraint_models(
     return [
         x
         for x in models_of(formula, vocab, cap)
-        if _feasible(_induced_gcsp(scope, x), kind, box)
+        if _solutions(_induced_gcsp(scope, x), kind, box)
     ]
 
 
@@ -198,20 +212,11 @@ def _solve_oracle(p: Program, cfg: SolveConfig) -> Iterator[AnswerResult]:
     :func:`input_answer_sets`."""
     from .program import input_answer_sets
 
-    box = cfg.var_box if cfg.var_box is not None else DEFAULT_ORACLE_BOX
     scope = p.irregular_atoms
     for x in input_answer_sets(p, scope, ORACLE_CAP):
         gcsp = _induced_gcsp(scope, x)
-        if not cfg.extended:
-            if _feasible(gcsp, cfg.logic, box):
-                yield AnswerResult(_ordered(p, x))
-        elif cfg.logic is LexiconKind.REAL_LINEAR:
-            witness = lincon.real_witness_1d(gcsp)
-            if witness is not None:
-                yield AnswerResult(_ordered(p, x), witness)
-        else:
-            for s in lincon.gcsp_enumerate_bounded(gcsp, cfg.logic, box[0], box[1]):
-                yield AnswerResult(_ordered(p, x), {v: Fraction(n) for v, n in s.items()})
+        for s in _solutions(gcsp, cfg.logic, cfg.var_box, every=cfg.extended):
+            yield AnswerResult(_ordered(p, x), s if cfg.extended else None)
 
 
 def _solve_smt(

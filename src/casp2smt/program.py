@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
+from graphlib import CycleError, TopologicalSorter
 from typing import AbstractSet, Iterable, Iterator, Optional, Tuple
 
 from .errors import HeadsIntersectInput, OracleCapExceeded
@@ -227,45 +228,12 @@ def input_answer_sets(
     return [x for x in subsets(p.atoms, cap) if is_input_answer_set(p, x, iota)]
 
 
-@dataclass(frozen=True)
-class DependencyGraph:
-    vertices: frozenset[AtomId]
-    edges: frozenset[tuple[AtomId, AtomId]]
-
-
-def dependency_graph(p: Program) -> DependencyGraph:
-    """Edges run from each nonempty head to the positive atoms of its body."""
-    edges = {
-        (r.head, b) for r in p.rules if r.head is not None for b in r.pos
-    }
-    return DependencyGraph(frozenset(p.atoms), frozenset(edges))
-
-
 def is_tight(p: Program) -> bool:
-    """True iff the positive dependency graph is acyclic."""
-    graph = dependency_graph(p)
-    succ: dict[AtomId, list[AtomId]] = {v: [] for v in graph.vertices}
-    for a, b in graph.edges:
-        succ[a].append(b)
-    WHITE, GREY, BLACK = 0, 1, 2
-    colour = {v: WHITE for v in graph.vertices}
-    for start in graph.vertices:
-        if colour[start] != WHITE:
-            continue
-        stack: list[tuple[AtomId, Iterable[AtomId]]] = [(start, iter(succ[start]))]
-        colour[start] = GREY
-        while stack:
-            node, children = stack[-1]
-            advanced = False
-            for child in children:
-                if colour[child] == GREY:
-                    return False
-                if colour[child] == WHITE:
-                    colour[child] = GREY
-                    stack.append((child, iter(succ[child])))
-                    advanced = True
-                    break
-            if not advanced:
-                colour[node] = BLACK
-                stack.pop()
+    """True iff the positive dependency graph, with an edge from each
+    nonempty head to every positive atom of its bodies, is acyclic."""
+    graph = {a: {b for r in rules for b in r.pos} for a, rules in p.rules_by_head.items()}
+    try:
+        TopologicalSorter(graph).prepare()
+    except CycleError:
+        return False
     return True

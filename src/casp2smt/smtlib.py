@@ -20,6 +20,13 @@ from .ranking import RANK_PREFIX
 
 _SAFE_SYMBOL = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
+# reserved words and Core, Ints and Reals symbols, which no atom may take
+_SMT_WORDS = frozenset(
+    "_ BINARY DECIMAL HEXADECIMAL NUMERAL STRING true false not and or xor "
+    "ite distinct let forall exists match par as assert div mod abs to_real "
+    "to_int is_int".split()
+)
+
 _REL_WORDS = (
     ("<=", "_le_"),
     (">=", "_ge_"),
@@ -38,11 +45,12 @@ def _sanitize(name: str) -> str:
     return re.sub(r"_+", "_", text).strip("_")
 
 
-def symbol_table(names: Iterable[AtomId]) -> dict[AtomId, str]:
-    """Injective atom-to-symbol mapping; regular atoms keep their own names,
-    irregular atoms get a ``b__`` prefix, collisions a numeric suffix."""
+def symbol_table(names: Iterable[AtomId], taken: Iterable[str] = ()) -> dict[AtomId, str]:
+    """Injective atom-to-symbol mapping that avoids the SMT-LIB words and the
+    taken symbols; regular atoms keep their own names, irregular atoms get a
+    ``b__`` prefix, collisions a numeric suffix."""
     table: dict[AtomId, str] = {}
-    used: set[str] = set()
+    used = set(_SMT_WORDS) | set(taken)
     for a in sorted(set(names)):
         if a.constraint is None and _SAFE_SYMBOL.fullmatch(a.name):
             base = a.name
@@ -70,8 +78,6 @@ def render_expr(c: LinearConstraint, int_sort: bool) -> str:
             terms.append(name)
         else:
             terms.append(f"(* {render_number(coeff, int_sort)} {name})")
-    if not terms:
-        return "0"
     if len(terms) == 1:
         return terms[0]
     return f"(+ {' '.join(terms)})"
@@ -133,15 +139,13 @@ def emit_script(clauses: ClauseSet, kind: LexiconKind) -> SmtScript:
     logic = "QF_LIA" if kind is LexiconKind.INTEGER_LINEAR else "QF_LRA"
     int_sort = kind is LexiconKind.INTEGER_LINEAR
     atoms = clauses.atoms()
-    table = symbol_table(atoms)
-    bridged = []
-    num_symbols: set[str] = set()
-    for a in sorted(atoms):
-        c = a.constraint
-        if c is None:
-            continue
-        bridged.append(f"(assert (= {table[a]} {render_theory_atom(c, int_sort)}))")
-        num_symbols.update(c.variables)
+    irregular = sorted(a for a in atoms if a.constraint is not None)
+    num_symbols = {v for a in irregular for v in a.constraint.variables}
+    table = symbol_table(atoms, num_symbols)
+    bridged = [
+        f"(assert (= {table[a]} {render_theory_atom(a.constraint, int_sort)}))"
+        for a in irregular
+    ]
     clause_asserts = [_clause_assert(clause, table) for clause in clauses.clauses]
     return SmtScript(
         logic=logic,

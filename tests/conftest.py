@@ -1,3 +1,4 @@
+import importlib.util
 import os
 import sys
 from pathlib import Path
@@ -46,6 +47,17 @@ def solver_cmd() -> str:
     if result.status is not Status.SAT:
         pytest.skip(f"solver probe answered {result.status}")
     return cmd
+
+
+@pytest.fixture(scope="session")
+def minismt():
+    """The bundled reference solver as a module, for in-process differential
+    tests. It imports nothing from the package, so its Fourier-Motzkin code
+    stays an independent reference."""
+    spec = importlib.util.spec_from_file_location("minismt", TOOLS / "minismt.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def names(xs) -> list[str]:

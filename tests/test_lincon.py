@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from casp2smt.errors import ParseError, UnboundVariable, UnsupportedMultivariate
+from casp2smt.errors import ParseError, UnboundVariable
 from casp2smt.lincon import (
     LexiconKind,
     LinearConstraint,
@@ -18,8 +18,7 @@ from casp2smt.lincon import (
     is_difference_shape,
     negate,
     parse_constraint,
-    real_feasible_1d,
-    real_witness_1d,
+    real_solution,
     render_constraint,
 )
 from casp2smt.program import atom, constraint_atom
@@ -88,6 +87,11 @@ class TestNormalization:
 
     def test_repeated_variable_merges(self):
         assert c("x + x < 4") == c("2*x < 4") == c("x < 2")
+
+    def test_constraint_without_variables_is_rejected(self):
+        for terms in ((), (("x", Fraction(1)), ("x", Fraction(-1)))):
+            with pytest.raises(ValueError):
+                LinearConstraint(LinExpr(terms), Rel.GE, Fraction(1))
 
     def test_rejects_garbage(self):
         garbage = ("< 4", "x 4", "x <", "x ? 4", "", "x < 4 y")
@@ -208,55 +212,99 @@ def test_enumerate_matches_brute_force(cs, lo, hi):
         assert all(evaluate(k, solution) for k in cs)
 
 
-# one variable of x, y, z or none, small bounds so that equalities,
-# punctures and touching endpoints meet often
+# one variable of x, y or z, small bounds so that equalities, disequalities
+# and touching endpoints meet often
 _UNIVARIATE = st.builds(
     lambda terms, rel, bound, complement: LinearConstraint(
         LinExpr(terms), rel.complement if complement else rel, Fraction(bound)
     ),
-    st.one_of(
-        st.just(()),
-        st.tuples(
-            st.tuples(st.sampled_from("xyz"), st.sampled_from([-2, -1, 1, 2, 3]).map(Fraction))
-        ),
+    st.tuples(
+        st.tuples(st.sampled_from("xyz"), st.sampled_from([-2, -1, 1, 2, 3]).map(Fraction))
     ),
     st.sampled_from(list(Rel)),
     st.integers(-3, 3),
     st.booleans(),
 )
 
+# one to three of x, y and z, with every relation
+_MULTIVARIATE = st.builds(
+    lambda coeffs, rel, bound: LinearConstraint(LinExpr.of(coeffs), rel, Fraction(bound)),
+    st.dictionaries(st.sampled_from("xyz"), st.sampled_from([-2, -1, 1, 2, 3]), min_size=1),
+    st.sampled_from(list(Rel)),
+    st.integers(-3, 3),
+)
+
+
+def univariate_feasible(cs) -> bool:
+    """Reference decision for systems of one-variable constraints: every
+    piece of a variable's solution set holds a bound, a midpoint of two
+    bounds, or a point beyond all of them."""
+    for name in {k.variables[0] for k in cs}:
+        mine = [k for k in cs if k.variables == (name,)]
+        ends = sorted({k.bound / k.expr.terms[0][1] for k in mine})
+        points = ends + [(p + q) / 2 for p, q in zip(ends, ends[1:])] + [ends[0] - 1, ends[-1] + 1]
+        if not any(all(evaluate(k, {name: p}) for k in mine) for p in points):
+            return False
+    return True
+
 
 class TestRealIntervals:
     def test_open_interval_is_feasible(self):
-        assert real_feasible_1d([c("x > 4"), c("x < 5")])
+        assert real_solution([c("x > 4"), c("x < 5")]) == {"x": Fraction(9, 2)}
 
     def test_empty_interval(self):
-        assert not real_feasible_1d([c("x > 4"), c("x < 4")])
+        assert real_solution([c("x > 4"), c("x < 4")]) is None
 
     def test_punctured_singleton(self):
-        assert not real_feasible_1d([c("x >= 4"), c("x <= 4"), c("x != 4")])
+        assert real_solution([c("x >= 4"), c("x <= 4"), c("x != 4")]) is None
 
     def test_puncture_in_wide_interval_is_harmless(self):
-        assert real_feasible_1d([c("x >= 4"), c("x <= 5"), c("x != 4")])
+        assert real_solution([c("x >= 4"), c("x <= 5"), c("x != 4")]) is not None
 
     def test_witness_satisfies(self):
         cs = [c("x > 4"), c("x < 5"), c("y != 0"), c("2*x != 9")]
-        witness = real_witness_1d(cs)
+        witness = real_solution(cs)
         assert witness is not None
         assert all(evaluate(k, witness) for k in cs)
 
-    def test_multivariate_is_rejected(self):
-        with pytest.raises(UnsupportedMultivariate):
-            real_feasible_1d([c("x + y < 4")])
+    def test_multivariate_is_solved(self):
+        witness = real_solution([c("x + y < 4")])
+        assert witness is not None and evaluate(c("x + y < 4"), witness)
+
+    def test_disequality_off_a_line(self):
+        # a puncture picked after the fact fails here: x = y meets x + y = 0
+        cs = [c("x - y = 0"), c("x + y != 0")]
+        witness = real_solution(cs)
+        assert witness is not None and all(evaluate(k, witness) for k in cs)
+
+    def test_disequality_against_its_equality(self):
+        assert real_solution([c("x - y = 0"), c("x - y != 0")]) is None
+
+    def test_box_cuts_off_a_feasible_system(self):
+        assert real_solution([c("x > 100")]) == {"x": 101}
+        assert real_solution([c("x > 100")], box=(0, 23)) is None
+        assert real_solution([c("x > 20")], box=(0, 23)) == {"x": Fraction(43, 2)}
 
     @settings(max_examples=400, deadline=None)
     @given(st.lists(_UNIVARIATE, min_size=1, max_size=7))
     def test_witness_exactly_when_feasible(self, cs):
-        witness = real_witness_1d(cs)
-        if not real_feasible_1d(cs):
+        witness = real_solution(cs)
+        if not univariate_feasible(cs):
             assert witness is None
         else:
             assert witness is not None
+            assert all(evaluate(k, witness) for k in cs)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_MULTIVARIATE, min_size=1, max_size=7))
+    def test_agrees_with_the_reference_solver(self, minismt, cs):
+        """minismt's own elimination splits each disequality both ways."""
+        expected = minismt.solve_constraints(
+            [(dict(k.expr.terms), k.rel.value, k.bound) for k in cs], False
+        )
+        witness = real_solution(cs)
+        assert (witness is None) == (expected is None)
+        if witness is not None:
             assert all(evaluate(k, witness) for k in cs)
 
 

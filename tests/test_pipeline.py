@@ -191,6 +191,20 @@ class TestSmtSolve:
             )
             assert extended_families(oracle) == extended_families(smt)
 
+    def test_differential_reals(self, solver_cmd):
+        rng = random.Random(113)
+        for i in range(12):
+            p = random_cas_program(rng, max_atoms=5, max_rules=6, n_vars=3, tight=(i % 2 == 0))
+            for box in (None, (-2, 2)):
+                oracle = solve(p, SolveConfig(oracle_only=True, logic=REAL, enumerate=0, var_box=box))
+                smt = solve(
+                    p, SolveConfig(solver_cmd=solver_cmd, logic=REAL, enumerate=0, var_box=box)
+                )
+                assert result_families(oracle) == result_families(smt)
+                assert oracle.status == smt.status
+                for result in oracle.results:
+                    assert verify(p, result.atom_set, box, REAL)
+
     def test_force_ranking_agrees_on_tight_programs(self, solver_cmd):
         rng = random.Random(101)
         from casp2smt.program import is_tight
@@ -282,6 +296,42 @@ class TestBadInput:
         program.write_text("a :- |x - x >= 1|.\n")
         assert cli.main([str(program), "--oracle"]) == cli.EXIT_PARSE_ERROR
         assert "constraint has no variables" in capsys.readouterr().err
+
+
+def cli_answers(capsys, args) -> tuple[int, set[str]]:
+    code = cli.main(args)
+    lines = capsys.readouterr().out.splitlines()
+    return code, {line.split(": ", 1)[1] for line in lines if line.startswith("Answer ")}
+
+
+class TestOracleAgreesWithSolver:
+    """The CLI gives the same answers and exit code with --oracle and with
+    the reference solver."""
+
+    @pytest.mark.parametrize(
+        "text, args, code, answers",
+        [
+            # atoms named like SMT-LIB constants or numeric symbols
+            ("{false}.\n:- not false.\n", [], 0, {"false"}),
+            ("{x}.\n:- not x.\na :- |x > 0|, x.\n", [], 0, {"x", "x a |x>0|"}),
+            # a multivariate constraint over the reals
+            ("a :- |x + y > 2|.\n:- not a.\n", ["--logic", "lra"], 0, {"a |x+y>2|"}),
+            # the box bounds the reals on both paths
+            (
+                "{a}.\n:- a, not |x > 100|.\n:- not a.\n",
+                ["--logic", "lra", "--var-box", "0", "23"],
+                1,
+                set(),
+            ),
+        ],
+        ids=["smt-constant-name", "numeric-symbol-name", "multivariate-reals", "box-over-reals"],
+    )
+    def test_same_answers(self, solver_cmd, tmp_path, capsys, text, args, code, answers):
+        program = tmp_path / "p.lp"
+        program.write_text(text)
+        base = [str(program), "--enumerate", "0", *args]
+        assert cli_answers(capsys, base + ["--oracle"]) == (code, answers)
+        assert cli_answers(capsys, base + ["--solver", solver_cmd]) == (code, answers)
 
 
 class TestRenderReport:

@@ -10,7 +10,6 @@ from casp2smt.program import (
     Program,
     Rule,
     atom,
-    dependency_graph,
     enumerate_answer_sets,
     heads,
     input_answer_sets,
@@ -143,17 +142,18 @@ class TestInputAnswerSets:
 
 
 class TestDependencyGraph:
+    """The positive dependency graph, seen through tightness."""
+
     def test_light_program_single_edge(self, acp_text):
-        g = dependency_graph(P(acp_text))
-        assert names(g.vertices) == ["am", "lightOn", "switch"]
-        assert {(x.name, y.name) for x, y in g.edges} == {("lightOn", "switch")}
+        assert is_tight(P(acp_text))
+        # the reverse of the one edge lightOn -> switch closes a cycle
+        assert not is_tight(P(acp_text + "switch :- lightOn.\n"))
 
     def test_self_loop(self):
-        g = dependency_graph(P("a :- a.\n"))
-        assert {(x.name, y.name) for x, y in g.edges} == {("a", "a")}
+        assert not is_tight(P("a :- a.\n"))
 
     def test_denials_contribute_no_edges(self):
-        assert dependency_graph(P(":- a, b.\n")).edges == frozenset()
+        assert is_tight(P(":- a, b.\n"))
 
 
 class TestTightness:

@@ -50,6 +50,10 @@ class TestSymbols:
         t = symbol_table([one, two])
         assert t == {one: "b__x_y_ge_12", two: "b__x_y_ge_12_1"}
 
+    def test_smt_words_and_taken_symbols_get_suffixes(self):
+        t = symbol_table([atom("false"), atom("x"), atom("y")], taken=["x"])
+        assert t == {atom("false"): "false_1", atom("x"): "x_1", atom("y"): "y"}
+
     def test_injective_on_random_names(self):
         rng = random.Random(71)
         names = [atom(f"|{rng.choice('xyz')} >= {rng.randint(-9, 9)}|") for _ in range(30)]
