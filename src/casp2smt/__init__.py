@@ -26,9 +26,8 @@ from .program import (
     Program,
     Rule,
     atom,
-    enumerate_answer_sets,
     input_answer_sets,
-    is_answer_set,
+    is_input_answer_set,
     is_tight,
 )
 from .smtlib import Status
@@ -52,9 +51,8 @@ __all__ = [
     "Status",
     "atom",
     "classify_fragment",
-    "enumerate_answer_sets",
     "input_answer_sets",
-    "is_answer_set",
+    "is_input_answer_set",
     "is_tight",
     "parse_program",
     "render_program",

@@ -22,7 +22,7 @@ from .errors import (
 )
 from .lincon import LexiconKind
 from .parser import parse_program
-from .pipeline import Mode, SolveConfig, Status, render_report, solve
+from .pipeline import DEFAULT_ORACLE_BOX, Mode, SolveConfig, Status, render_report, solve
 
 EXIT_SAT = 0
 EXIT_UNSAT = 1
@@ -65,7 +65,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--oracle",
         action="store_true",
-        help="solve in-process by exhaustive semantics checks (no SMT solver)",
+        help="solve in-process by exhaustive semantics checks (no SMT solver); "
+        f"without --var-box it searches integer variables only in {list(DEFAULT_ORACLE_BOX)}, "
+        "where the solver leaves them unbounded",
     )
     parser.add_argument(
         "--enumerate",
@@ -86,7 +88,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
         metavar=("LO", "HI"),
         help="bounds for constraint variables, applied by the oracle and the "
         "solver over the integers and the reals (required when enumerating "
-        "extended answers)",
+        "extended answers); without it the oracle searches the integers only "
+        f"in {list(DEFAULT_ORACLE_BOX)}",
     )
     parser.add_argument(
         "--ranking",

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import AbstractSet, Iterable, Optional
+from typing import AbstractSet
 
 from .formula import BOTTOM, Atom, Not, PropFormula, conj, disj, implies
 from .program import AtomId, Program, Rule, require_heads_outside_input
@@ -31,18 +31,10 @@ def _support(p: Program, a: AtomId) -> PropFormula:
     return implies(Atom(a), disj(bodies_of(p, a)))
 
 
-def completion(p: Program, vocab: Optional[Iterable[AtomId]] = None) -> PropFormula:
-    """Rules as implications plus, per vocabulary atom, the implication from
-    the atom to the disjunction of its bodies (to falsum when it has none)."""
-    names = sorted(set(vocab)) if vocab is not None else sorted(p.atoms)
-    conjuncts = [rule_implication(r) for r in p.rules]
-    conjuncts += [_support(p, a) for a in names]
-    return conj(conjuncts)
-
-
-def input_completion(p: Program, iota: AbstractSet[AtomId]) -> PropFormula:
-    """Like the completion, but support implications are emitted only for
-    atoms outside the input vocabulary."""
+def input_completion(p: Program, iota: AbstractSet[AtomId] = frozenset()) -> PropFormula:
+    """Rules as implications plus, per atom outside the input vocabulary, the
+    implication from the atom to the disjunction of its bodies (to falsum
+    when it has none). With no input atoms this is the completion."""
     require_heads_outside_input(p, iota)
     conjuncts = [rule_implication(r) for r in p.rules]
     conjuncts += [_support(p, a) for a in sorted(p.atoms) if a not in iota]

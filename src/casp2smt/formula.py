@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from typing import AbstractSet, Iterable, Tuple
 
 from .errors import NotAModel
-from .program import ORACLE_CAP, AtomId, subsets
+from .program import AtomId, subsets
 
 FRESH_PREFIX = "__def_"
 
@@ -44,12 +44,6 @@ class Or(PropFormula):
 
 @dataclass(frozen=True)
 class Implies(PropFormula):
-    lhs: PropFormula
-    rhs: PropFormula
-
-
-@dataclass(frozen=True)
-class Iff(PropFormula):
     lhs: PropFormula
     rhs: PropFormula
 
@@ -117,17 +111,13 @@ def eval_formula(f: PropFormula, x: AbstractSet[AtomId]) -> bool:
         return any(eval_formula(g, x) for g in f.args)
     if isinstance(f, Implies):
         return not eval_formula(f.lhs, x) or eval_formula(f.rhs, x)
-    if isinstance(f, Iff):
-        return eval_formula(f.lhs, x) == eval_formula(f.rhs, x)
     raise TypeError(f"not a formula node: {f!r}")
 
 
-def models_of(
-    f: PropFormula, vocab: Iterable[AtomId], cap: int = ORACLE_CAP
-) -> list[frozenset[AtomId]]:
+def models_of(f: PropFormula, vocab: Iterable[AtomId]) -> list[frozenset[AtomId]]:
     """All models over the vocabulary, in lexicographic order of atom-name
     bit vectors. Atoms outside the assignment read as false."""
-    return [x for x in subsets(vocab, cap) if eval_formula(f, x)]
+    return [x for x in subsets(vocab) if eval_formula(f, x)]
 
 
 def unique_name(base: str, used: set[str]) -> str:
@@ -169,14 +159,6 @@ def _nnf(f: PropFormula) -> PropFormula:
         return disj(_nnf(g) for g in f.args)
     if isinstance(f, Implies):
         return disj((_nnf_neg(f.lhs), _nnf(f.rhs)))
-    if isinstance(f, Iff):
-        # expanded as two implications
-        return conj(
-            (
-                disj((_nnf_neg(f.lhs), _nnf(f.rhs))),
-                disj((_nnf_neg(f.rhs), _nnf(f.lhs))),
-            )
-        )
     raise TypeError(f"not a formula node: {f!r}")
 
 
@@ -193,13 +175,6 @@ def _nnf_neg(f: PropFormula) -> PropFormula:
         return conj(_nnf_neg(g) for g in f.args)
     if isinstance(f, Implies):
         return conj((_nnf(f.lhs), _nnf_neg(f.rhs)))
-    if isinstance(f, Iff):
-        return disj(
-            (
-                conj((_nnf(f.lhs), _nnf_neg(f.rhs))),
-                conj((_nnf(f.rhs), _nnf_neg(f.lhs))),
-            )
-        )
     raise TypeError(f"not a formula node: {f!r}")
 
 
@@ -281,9 +256,7 @@ def project_model(m: AbstractSet[AtomId], c: ClauseSet) -> frozenset[AtomId]:
     return frozenset(m) - c.fresh_atoms
 
 
-def clause_models(
-    c: ClauseSet, vocab: Iterable[AtomId], cap: int = ORACLE_CAP
-) -> list[frozenset[AtomId]]:
+def clause_models(c: ClauseSet, vocab: Iterable[AtomId]) -> list[frozenset[AtomId]]:
     """All clause models over vocab plus the clause set's fresh atoms."""
     names = set(vocab) | c.fresh_atoms
-    return [x for x in subsets(names, cap) if satisfies_clauses(x, c)]
+    return [x for x in subsets(names) if satisfies_clauses(x, c)]

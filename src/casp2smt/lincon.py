@@ -175,21 +175,15 @@ def constraint_variables(cs: Iterable[LinearConstraint]) -> tuple[str, ...]:
 
 
 def _boxed_solutions(
-    cs: Iterable[LinearConstraint],
-    kind: LexiconKind,
-    lo: int,
-    hi: int,
-    variables: Optional[Sequence[str]],
+    cs: Iterable[LinearConstraint], lo: int, hi: int
 ) -> Iterator[dict[str, int]]:
     """Depth-first search over the integer box, in lexicographic order of the
-    sorted variable names (by default those of the constraints), pruning a
-    branch as soon as a fully assigned constraint fails."""
-    if kind is not LexiconKind.INTEGER_LINEAR:
-        raise ValueError("bounded search applies to the integer lexicon only")
+    sorted variable names of the constraints, pruning a branch as soon as a
+    fully assigned constraint fails."""
     if lo > hi:
         raise ValueError(f"empty box [{lo}, {hi}]")
     cs = tuple(cs)
-    order = sorted(variables) if variables is not None else constraint_variables(cs)
+    order = constraint_variables(cs)
     position = {name: i for i, name in enumerate(order)}
     by_last: list[list[LinearConstraint]] = [[] for _ in order]
     for c in cs:
@@ -212,26 +206,19 @@ def _boxed_solutions(
 
 
 def gcsp_solve_bounded(
-    cs: Iterable[LinearConstraint],
-    kind: LexiconKind,
-    lo: int,
-    hi: int,
-    variables: Optional[Sequence[str]] = None,
+    cs: Iterable[LinearConstraint], lo: int, hi: int
 ) -> Optional[dict[str, int]]:
-    """First solution of the constraint set inside the box, in lexicographic
-    order of the sorted variable names, or None when there is none."""
-    return next(_boxed_solutions(cs, kind, lo, hi, variables), None)
+    """First integer solution of the constraint set inside the box, in
+    lexicographic order of the sorted variable names, or None when there is
+    none."""
+    return next(_boxed_solutions(cs, lo, hi), None)
 
 
 def gcsp_enumerate_bounded(
-    cs: Iterable[LinearConstraint],
-    kind: LexiconKind,
-    lo: int,
-    hi: int,
-    variables: Optional[Sequence[str]] = None,
+    cs: Iterable[LinearConstraint], lo: int, hi: int
 ) -> list[dict[str, int]]:
-    """All solutions inside the box, lexicographic order."""
-    return list(_boxed_solutions(cs, kind, lo, hi, variables))
+    """All integer solutions inside the box, lexicographic order."""
+    return list(_boxed_solutions(cs, lo, hi))
 
 
 # a row  sum(coeff * var) <= k,  or < k when strict

@@ -17,7 +17,7 @@ from .completion import input_completion
 from .errors import InconsistentConfig, NotTight, SolverSpawnFailure
 from .formula import conj, models_of, to_clauses
 from .lincon import LexiconKind, LinearConstraint, negate
-from .program import ORACLE_CAP, AtomId, Program, is_input_answer_set, is_tight
+from .program import AtomId, Program, is_input_answer_set, is_tight
 from .ranking import RANK_PREFIX, build_ranking_formula
 from .smtlib import (
     Status,
@@ -138,9 +138,9 @@ def _solutions(
     else:
         lo, hi = box if box is not None else DEFAULT_ORACLE_BOX
         if every:
-            found = lincon.gcsp_enumerate_bounded(gcsp, kind, lo, hi)
+            found = lincon.gcsp_enumerate_bounded(gcsp, lo, hi)
         else:
-            found = [lincon.gcsp_solve_bounded(gcsp, kind, lo, hi)]
+            found = [lincon.gcsp_solve_bounded(gcsp, lo, hi)]
     return [{v: Fraction(n) for v, n in s.items()} for s in found if s is not None]
 
 
@@ -165,7 +165,6 @@ def constraint_models(
     vocab: Iterable[AtomId],
     kind: LexiconKind = LexiconKind.INTEGER_LINEAR,
     box: Optional[Tuple[int, int]] = None,
-    cap: int = ORACLE_CAP,
 ) -> list[frozenset[AtomId]]:
     """Models of a formula over atoms that carry their constraints:
     propositional models whose induced constraint problem is solvable."""
@@ -173,7 +172,7 @@ def constraint_models(
     scope = {a for a in vocab if a.constraint is not None}
     return [
         x
-        for x in models_of(formula, vocab, cap)
+        for x in models_of(formula, vocab)
         if _solutions(_induced_gcsp(scope, x), kind, box)
     ]
 
@@ -190,21 +189,23 @@ def _encode(p: Program, cfg: SolveConfig, use_ranking: bool):
         formula = conj([formula, ranking.formula])
     script = emit_script(to_clauses(formula), cfg.logic)
     extra: list[str] = []
-    program_vars = lincon.constraint_variables(a.constraint for a in sigma_i)
+    nums = dict(script.var_symbols)
+    # the symbols of the program's variables that occur in the script
+    program_symbols = [
+        nums[v]
+        for v in lincon.constraint_variables(a.constraint for a in sigma_i)
+        if v in nums
+    ]
     if cfg.var_box is not None:
         lo, hi = cfg.var_box
         int_sort = cfg.logic is LexiconKind.INTEGER_LINEAR
-        extra += [
-            box_assert(v, lo, hi, int_sort)
-            for v in program_vars
-            if v in script.num_symbols
-        ]
+        extra += [box_assert(v, lo, hi, int_sort) for v in program_symbols]
     if cfg.bound_ranks and use_ranking:
-        rank_vars = [v for v in script.num_symbols if v.startswith(RANK_PREFIX)]
+        rank_vars = [s for v, s in script.var_symbols if v.startswith(RANK_PREFIX)]
         extra += [box_assert(v, 0, len(p.atoms)) for v in rank_vars]
     if extra:
         script = script.with_asserts(extra)
-    return script, program_vars
+    return script, program_symbols
 
 
 def _solve_oracle(p: Program, cfg: SolveConfig) -> Iterator[AnswerResult]:
@@ -213,14 +214,14 @@ def _solve_oracle(p: Program, cfg: SolveConfig) -> Iterator[AnswerResult]:
     from .program import input_answer_sets
 
     scope = p.irregular_atoms
-    for x in input_answer_sets(p, scope, ORACLE_CAP):
+    for x in input_answer_sets(p, scope):
         gcsp = _induced_gcsp(scope, x)
         for s in _solutions(gcsp, cfg.logic, cfg.var_box, every=cfg.extended):
             yield AnswerResult(_ordered(p, x), s if cfg.extended else None)
 
 
 def _solve_smt(
-    p: Program, cfg: SolveConfig, script, program_vars
+    p: Program, cfg: SolveConfig, script, program_symbols
 ) -> Iterator[Optional[AnswerResult]]:
     """Answers through the external solver, one call per answer, each
     blocked before the next call. A call that ends in UNKNOWN (a solver
@@ -235,9 +236,7 @@ def _solve_smt(
     atom_scope = [
         symbol for a, symbol in script.atom_symbols if a in program_atoms
     ]
-    value_scope: Sequence[str] = ()
-    if cfg.extended and cfg.var_box is not None:
-        value_scope = [v for v in program_vars if v in script.num_symbols]
+    value_scope = program_symbols if cfg.extended and cfg.var_box is not None else ()
     current = script
     while True:
         outcome = run_solver(current, cmd, cfg.timeout)
@@ -259,6 +258,10 @@ def solve(p: Program, cfg: Optional[SolveConfig] = None) -> SolveReport:
     the ranking formula otherwise; oracle mode computes the same answer sets
     by exhaustive semantics checks with no external process. An enumeration
     that a solver call cuts short is UNKNOWN and keeps the answers before it.
+
+    Without ``var_box`` the oracle searches integer variables only inside
+    :data:`DEFAULT_ORACLE_BOX`, while the solver leaves them unbounded, so a
+    program whose constraints need larger values can be UNSAT only there.
     """
     cfg = cfg or SolveConfig()
     _check_config(cfg)
@@ -268,15 +271,15 @@ def solve(p: Program, cfg: Optional[SolveConfig] = None) -> SolveReport:
     use_ranking = cfg.mode is Mode.FORCE_RANKING or (
         cfg.mode is Mode.AUTO and not tight
     )
-    script = program_vars = None
+    script = program_symbols = None
     if cfg.emit_path is not None or not cfg.oracle_only:
-        script, program_vars = _encode(p, cfg, use_ranking)
+        script, program_symbols = _encode(p, cfg, use_ranking)
     if cfg.emit_path is not None:
         Path(cfg.emit_path).write_text(script.text, encoding="utf-8")
     if cfg.oracle_only:
         answers = _solve_oracle(p, cfg)
     else:
-        answers = _solve_smt(p, cfg, script, program_vars)
+        answers = _solve_smt(p, cfg, script, program_symbols)
     results = list(itertools.islice(answers, cfg.enumerate or None))
     cut_short = bool(results) and results[-1] is None
     if cut_short:

@@ -195,24 +195,15 @@ def is_input_answer_set(
     return not bottom and fixpoint == frozenset(x)
 
 
-def is_answer_set(p: Program, x: AbstractSet[AtomId]) -> bool:
-    """x is an answer set iff it is an input answer set over no input atoms."""
-    return is_input_answer_set(p, x)
-
-
-def subsets(names: Iterable[AtomId], cap: int) -> Iterator[frozenset[AtomId]]:
+def subsets(names: Iterable[AtomId]) -> Iterator[frozenset[AtomId]]:
     """Every subset of the names, in lexicographic order of bit vectors over
-    the sorted names; more than cap names raise :class:`OracleCapExceeded`."""
+    the sorted names; more than :data:`ORACLE_CAP` names raise
+    :class:`OracleCapExceeded`."""
     ordered = sorted(set(names))
-    if len(ordered) > cap:
-        raise OracleCapExceeded(len(ordered), cap)
+    if len(ordered) > ORACLE_CAP:
+        raise OracleCapExceeded(len(ordered), ORACLE_CAP)
     for bits in itertools.product((False, True), repeat=len(ordered)):
         yield frozenset(a for a, b in zip(ordered, bits) if b)
-
-
-def enumerate_answer_sets(p: Program, cap: int = ORACLE_CAP) -> list[frozenset[AtomId]]:
-    """All answer sets, in lexicographic order of atom-name bit vectors."""
-    return [x for x in subsets(p.atoms, cap) if is_answer_set(p, x)]
 
 
 def with_facts(p: Program, xs: Iterable[AtomId]) -> Program:
@@ -220,12 +211,13 @@ def with_facts(p: Program, xs: Iterable[AtomId]) -> Program:
 
 
 def input_answer_sets(
-    p: Program, iota: AbstractSet[AtomId], cap: int = ORACLE_CAP
+    p: Program, iota: AbstractSet[AtomId] = frozenset()
 ) -> list[frozenset[AtomId]]:
     """All x over the program's atoms that are answer sets once x's input
-    part is added back as facts."""
+    part is added back as facts, in lexicographic order of atom-name bit
+    vectors. With no input atoms these are the plain answer sets."""
     require_heads_outside_input(p, iota)
-    return [x for x in subsets(p.atoms, cap) if is_input_answer_set(p, x, iota)]
+    return [x for x in subsets(p.atoms) if is_input_answer_set(p, x, iota)]
 
 
 def is_tight(p: Program) -> bool:

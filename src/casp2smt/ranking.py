@@ -24,17 +24,12 @@ RANK_PREFIX = "__lr_"
 LevelRanking = Mapping[AtomId, int]
 
 
-def check_level_ranking(p: Program, x: AbstractSet[AtomId], lr: LevelRanking) -> bool:
-    """Every atom of x needs a satisfied body whose positive atoms all rank
-    at least one below the atom itself."""
-    return check_input_level_ranking(p, x, frozenset(), lr)
-
-
 def check_input_level_ranking(
-    p: Program, x: AbstractSet[AtomId], iota: AbstractSet[AtomId], lr: LevelRanking
+    p: Program, x: AbstractSet[AtomId], lr: LevelRanking, iota: AbstractSet[AtomId] = frozenset()
 ) -> bool:
-    """Ranking condition relative to an input vocabulary: only non-input atoms
-    are ranked, and input atoms in a body never constrain the ranking."""
+    """Every non-input atom of x needs a satisfied body whose positive
+    non-input atoms all rank at least one below the atom itself; input atoms
+    are never ranked."""
     require_heads_outside_input(p, iota)
     ranked = set(x) - set(iota)
     missing = ranked - set(lr)
@@ -54,7 +49,9 @@ def find_level_ranking(
 ) -> Optional[dict[AtomId, int]]:
     """A witness ranking, or None when none exists: the atoms of x (minus
     iota) are layered bottom-up through their satisfied bodies, which
-    succeeds exactly when a ranking exists."""
+    succeeds exactly when a ranking exists. Values never need to exceed the
+    size of x, so no candidate rankings are enumerated."""
+    require_heads_outside_input(p, iota)
     target = set(x) - set(iota)
     levels: dict[AtomId, int] = {}
     stage = 0
@@ -75,19 +72,6 @@ def find_level_ranking(
     if set(levels) == target:
         return levels
     return None
-
-
-def exists_level_ranking(p: Program, x: AbstractSet[AtomId]) -> bool:
-    """Ranking existence, decided by bottom-up stratification rather than by
-    enumerating candidate rankings. Values never need to exceed the size of x."""
-    return exists_input_level_ranking(p, x, frozenset())
-
-
-def exists_input_level_ranking(
-    p: Program, x: AbstractSet[AtomId], iota: AbstractSet[AtomId]
-) -> bool:
-    require_heads_outside_input(p, iota)
-    return find_level_ranking(p, x, iota) is not None
 
 
 def fresh_rank_var(a: AtomId, used: Optional[set[str]] = None) -> str:

@@ -16,7 +16,6 @@ from .errors import SolverProtocolError, SolverSpawnFailure, UnknownSymbol
 from .formula import ClauseSet, unique_name
 from .lincon import LexiconKind, LinearConstraint, Rel
 from .program import AtomId
-from .ranking import RANK_PREFIX
 
 _SAFE_SYMBOL = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
@@ -71,20 +70,20 @@ def render_number(value: Union[int, Fraction], int_sort: bool) -> str:
     return text if value >= 0 else f"(- {text})"
 
 
-def render_expr(c: LinearConstraint, int_sort: bool) -> str:
+def render_expr(c: LinearConstraint, int_sort: bool, symbols: Mapping[str, str]) -> str:
     terms = []
     for name, coeff in c.expr.terms:
         if coeff == 1:
-            terms.append(name)
+            terms.append(symbols[name])
         else:
-            terms.append(f"(* {render_number(coeff, int_sort)} {name})")
+            terms.append(f"(* {render_number(coeff, int_sort)} {symbols[name]})")
     if len(terms) == 1:
         return terms[0]
     return f"(+ {' '.join(terms)})"
 
 
-def render_theory_atom(c: LinearConstraint, int_sort: bool) -> str:
-    lhs = render_expr(c, int_sort)
+def render_theory_atom(c: LinearConstraint, int_sort: bool, symbols: Mapping[str, str]) -> str:
+    lhs = render_expr(c, int_sort, symbols)
     rhs = render_number(c.bound, int_sort)
     if c.rel is Rel.NE:
         return f"(not (= {lhs} {rhs}))"
@@ -101,13 +100,15 @@ def box_assert(var: str, lo: int, hi: int, int_sort: bool = True) -> str:
 @dataclass(frozen=True)
 class SmtScript:
     """Deterministic SMT-LIB 2 script: sorted declarations, bridge assertions
-    tying each constraint atom's boolean to its theory atom, then the clauses."""
+    tying each constraint atom's boolean to its theory atom, then the clauses.
+    The symbol tables map atoms and numeric variables to their symbols."""
 
     logic: str
     bool_symbols: Tuple[str, ...]
     num_symbols: Tuple[str, ...]
     asserts: Tuple[str, ...]
     atom_symbols: Tuple[Tuple[AtomId, str], ...]
+    var_symbols: Tuple[Tuple[str, str], ...] = ()
 
     @property
     def num_sort(self) -> str:
@@ -128,6 +129,7 @@ class SmtScript:
             self.num_symbols,
             self.asserts + tuple(extra),
             self.atom_symbols,
+            self.var_symbols,
         )
 
 
@@ -135,24 +137,30 @@ def emit_script(clauses: ClauseSet, kind: LexiconKind) -> SmtScript:
     """Booleans for the clause atoms, numeric symbols for the constraint
     variables, and one biconditional bridge per occurring constraint atom,
     to the constraint the atom carries. The bridge pins both polarities, so
-    a false constraint atom really does assert the complement constraint."""
+    a false constraint atom really does assert the complement constraint.
+
+    A variable keeps its name unless it is an SMT-LIB word, which gets a
+    suffix that no other variable has; the atoms avoid every numeric symbol."""
     logic = "QF_LIA" if kind is LexiconKind.INTEGER_LINEAR else "QF_LRA"
     int_sort = kind is LexiconKind.INTEGER_LINEAR
     atoms = clauses.atoms()
     irregular = sorted(a for a in atoms if a.constraint is not None)
-    num_symbols = {v for a in irregular for v in a.constraint.variables}
-    table = symbol_table(atoms, num_symbols)
+    variables = {v for a in irregular for v in a.constraint.variables}
+    used = set(_SMT_WORDS) | variables
+    nums = {v: unique_name(v, used) if v in _SMT_WORDS else v for v in sorted(variables)}
+    table = symbol_table(atoms, nums.values())
     bridged = [
-        f"(assert (= {table[a]} {render_theory_atom(a.constraint, int_sort)}))"
+        f"(assert (= {table[a]} {render_theory_atom(a.constraint, int_sort, nums)}))"
         for a in irregular
     ]
     clause_asserts = [_clause_assert(clause, table) for clause in clauses.clauses]
     return SmtScript(
         logic=logic,
         bool_symbols=tuple(sorted(table.values())),
-        num_symbols=tuple(sorted(num_symbols)),
+        num_symbols=tuple(sorted(nums.values())),
         asserts=tuple(bridged + clause_asserts),
         atom_symbols=tuple(sorted(table.items(), key=lambda kv: kv[1])),
+        var_symbols=tuple(nums.items()),
     )
 
 
@@ -213,7 +221,10 @@ def _numeric_value(node) -> Fraction:
         if node[0] == "-" and len(node) == 2:
             return -_numeric_value(node[1])
         if node[0] == "/" and len(node) == 3:
-            return _numeric_value(node[1]) / _numeric_value(node[2])
+            denominator = _numeric_value(node[2])
+            if denominator == 0:
+                raise SolverProtocolError("division by zero in a model value")
+            return _numeric_value(node[1]) / denominator
         if node[0] == "to_real" and len(node) == 2:
             return _numeric_value(node[1])
     raise SolverProtocolError(f"unexpected model value {node!r}")
@@ -221,7 +232,8 @@ def _numeric_value(node) -> Fraction:
 
 def parse_model(text: str) -> SmtModel:
     """Extract booleans and numerals from get-model style output; handles
-    (- n) and (/ p q) forms."""
+    (- n) and (/ p q) forms. Output that is not a model, however deeply
+    nested, raises :class:`SolverProtocolError`."""
     model = SmtModel({}, {})
     forms = _read_sexprs(_tokenize_sexpr(text))
 
@@ -245,8 +257,11 @@ def parse_model(text: str) -> SmtModel:
         for child in node:
             walk(child)
 
-    for form in forms:
-        walk(form)
+    try:
+        for form in forms:
+            walk(form)
+    except RecursionError:
+        raise SolverProtocolError("solver output is nested too deeply") from None
     return model
 
 
@@ -351,18 +366,20 @@ def block_model(
 def decode(
     m: SmtModel, s: SmtScript, vocab: Iterable[AtomId]
 ) -> tuple[frozenset[AtomId], dict[str, Fraction]]:
-    """Project a solver model of the script back onto program atoms and
-    constraint variables, through the script's own symbol table;
-    definitional atoms and rank variables are dropped."""
+    """Project a solver model of the script back onto the vocabulary's atoms
+    and the variables of its constraints, each under its own name, through
+    the script's symbol tables; definitional atoms and rank variables are
+    dropped."""
     wanted = set(vocab)
     x = frozenset(
         a
         for a, symbol in s.atom_symbols
         if a in wanted and m.bools.get(symbol, False)
     )
+    variables = {v for a in wanted if a.constraint is not None for v in a.constraint.variables}
     valuation = {
-        name: value
-        for name, value in sorted(m.nums.items())
-        if not name.startswith(RANK_PREFIX)
+        name: m.nums.get(symbol, Fraction(0))
+        for name, symbol in s.var_symbols
+        if name in variables
     }
     return x, valuation

@@ -2,24 +2,25 @@ import random
 
 import pytest
 
-from casp2smt.completion import bodies_of, completion, input_completion
+from casp2smt.completion import bodies_of, input_completion, rule_implication
 from casp2smt.errors import HeadsIntersectInput, NotAModel
 from casp2smt.formula import (
     And,
     Atom,
     BOTTOM,
-    Iff,
     Implies,
     Not,
     clause_models,
     conj,
+    disj,
     eval_formula,
+    implies,
     models_of,
     project_model,
     to_clauses,
 )
 from casp2smt.parser import parse_program
-from casp2smt.program import Program, atom, with_facts
+from casp2smt.program import Program, atom, rule, with_facts
 
 from .conftest import families
 from .randprog import random_program, random_subset, random_tight_program
@@ -28,8 +29,9 @@ a, b_, switch, light, am = map(atom, ("a", "b", "switch", "lightOn", "am"))
 
 # the light-switch completion written out by hand: lightOn <-> switch & ~am,
 # plus lightOn itself
+LIGHT_BODY = And((Atom(switch), Not(Atom(am))))
 ACP_COMP = conj(
-    [Iff(Atom(light), And((Atom(switch), Not(Atom(am))))), Atom(light)]
+    [Implies(Atom(light), LIGHT_BODY), Implies(LIGHT_BODY, Atom(light)), Atom(light)]
 )
 
 
@@ -49,18 +51,21 @@ class TestBodiesOf:
 class TestCompletion:
     def test_light_program_models(self, acp_text):
         p = parse_program(acp_text)
-        got = models_of(completion(p), p.atoms)
+        got = models_of(input_completion(p), p.atoms)
         assert got == models_of(ACP_COMP, p.atoms)
         assert families(got) == {frozenset({"switch", "lightOn"})}
 
     def test_empty_program_over_declared_vocabulary(self):
-        f = completion(Program(()), vocab=[a])
-        assert f == Implies(Atom(a), BOTTOM)
+        # a denial that can never fire puts a in the vocabulary; with no rule
+        # for a, its support is falsum
+        never = rule(None, pos=[a], neg=[a])
+        f = input_completion(Program((never,)))
+        assert f == And((rule_implication(never), Implies(Atom(a), BOTTOM)))
         assert models_of(f, [a]) == [frozenset()]
 
     def test_two_cycle_completion_has_two_models(self):
         p = parse_program("a :- b.\nb :- a.\n")
-        assert families(models_of(completion(p), p.atoms)) == {
+        assert families(models_of(input_completion(p), p.atoms)) == {
             frozenset(),
             frozenset({"a", "b"}),
         }
@@ -78,10 +83,13 @@ class TestInputCompletion:
         }
 
     def test_empty_input_coincides_with_completion(self):
+        # Clark's completion: every rule, and a support formula for every atom
         rng = random.Random(3)
         for _ in range(40):
             p = random_program(rng)
-            assert input_completion(p, frozenset()) == completion(p)
+            rules = [rule_implication(r) for r in p.rules]
+            support = [implies(Atom(x), disj(bodies_of(p, x))) for x in sorted(p.atoms)]
+            assert input_completion(p, frozenset()) == conj(rules + support)
 
     def test_input_atom_supports_itself(self):
         p = parse_program("a :- b.\n")
@@ -117,7 +125,7 @@ class TestClausification:
         rng = random.Random(23)
         for _ in range(40):
             p = random_program(rng, max_atoms=5, max_rules=6)
-            f = completion(p)
+            f = input_completion(p)
             cs = to_clauses(f)
             projected = {project_model(m, cs) for m in clause_models(cs, p.atoms)}
             assert projected == set(models_of(f, p.atoms))
@@ -163,5 +171,5 @@ class TestTheoremsAtDeskScale:
             x = random_subset(rng, p.atoms)
             extended = with_facts(p, x & iota)
             lhs = eval_formula(input_completion(p, iota), x)
-            rhs = eval_formula(completion(extended, vocab=p.atoms), x)
+            rhs = eval_formula(input_completion(extended), x)
             assert lhs == rhs

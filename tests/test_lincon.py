@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from casp2smt.errors import ParseError, UnboundVariable
 from casp2smt.lincon import (
-    LexiconKind,
     LinearConstraint,
     LinExpr,
     Rel,
@@ -23,8 +22,6 @@ from casp2smt.lincon import (
 )
 from casp2smt.program import atom, constraint_atom
 from casp2smt.smtlib import symbol_table
-
-INT = LexiconKind.INTEGER_LINEAR
 
 
 def c(text: str) -> LinearConstraint:
@@ -171,42 +168,32 @@ def test_construction_preserves_satisfaction(fields, data):
 class TestBoundedGcsp:
     def test_hours_example(self):
         cs = [c("x >= 12"), negate(c("x < 12")), negate(c("x < 0")), negate(c("x > 23"))]
-        assert gcsp_solve_bounded(cs, INT, 0, 23) == {"x": 12}
-        assert gcsp_enumerate_bounded(cs, INT, 0, 23) == [
+        assert gcsp_solve_bounded(cs, 0, 23) == {"x": 12}
+        assert gcsp_enumerate_bounded(cs, 0, 23) == [
             {"x": v} for v in range(12, 24)
         ]
 
     def test_integer_gap(self):
         cs = [c("x > 4"), c("x < 5")]
-        assert gcsp_solve_bounded(cs, INT, -100, 100) is None
-        assert gcsp_enumerate_bounded(cs, INT, 0, 10) == []
+        assert gcsp_solve_bounded(cs, -100, 100) is None
+        assert gcsp_enumerate_bounded(cs, 0, 10) == []
 
     def test_empty_problem(self):
-        assert gcsp_solve_bounded([], INT, 0, 5) == {}
-
-    def test_declared_variable_without_constraints(self):
-        assert gcsp_enumerate_bounded([], INT, 0, 1, variables=["x"]) == [
-            {"x": 0},
-            {"x": 1},
-        ]
-
-    def test_rejects_real_lexicon(self):
-        with pytest.raises(ValueError):
-            gcsp_solve_bounded([], LexiconKind.REAL_LINEAR, 0, 1)
+        assert gcsp_solve_bounded([], 0, 5) == {}
 
 
 @given(st.lists(constraints(), max_size=3), st.integers(-4, 0), st.integers(0, 4))
 @settings(max_examples=60, deadline=None)
 def test_enumerate_matches_brute_force(cs, lo, hi):
     variables = sorted({v for k in cs for v in k.variables})
-    got = gcsp_enumerate_bounded(cs, INT, lo, hi, variables=variables)
+    got = gcsp_enumerate_bounded(cs, lo, hi)
     expected = []
     for values in itertools.product(range(lo, hi + 1), repeat=len(variables)):
         v = dict(zip(variables, values))
         if all(evaluate(k, v) for k in cs):
             expected.append(v)
     assert got == expected
-    solution = gcsp_solve_bounded(cs, INT, lo, hi, variables=variables)
+    solution = gcsp_solve_bounded(cs, lo, hi)
     assert solution == (expected[0] if expected else None)
     if solution is not None:
         assert all(evaluate(k, solution) for k in cs)

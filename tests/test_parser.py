@@ -4,7 +4,7 @@ import pytest
 
 from casp2smt.errors import IrregularHead, ParseError, ReservedPrefix
 from casp2smt.parser import parse_program, render_program
-from casp2smt.program import Rule, atom, enumerate_answer_sets, heads
+from casp2smt.program import Rule, atom, heads, input_answer_sets
 
 from .conftest import families
 from .randprog import random_cas_program, random_program
@@ -37,7 +37,7 @@ class TestParse:
     def test_desugaring_preserves_answer_sets(self):
         got = parse_program("{a} :- b.\nb.\n")
         want = parse_program("a :- not not a, b.\nb.\n")
-        assert enumerate_answer_sets(got) == enumerate_answer_sets(want)
+        assert input_answer_sets(got) == input_answer_sets(want)
 
     def test_equivalent_constraint_texts_share_one_atom(self):
         p = parse_program(":- |x < 12|.\n:- |1*x < 12|.\n:- | 2*x<24 |.\n")
@@ -59,7 +59,7 @@ class TestParse:
         p = parse_program("a :- b, not b.")
         (r,) = p.rules
         assert r.pos == r.neg == frozenset({b_})
-        assert enumerate_answer_sets(p) == [frozenset()]
+        assert input_answer_sets(p) == [frozenset()]
 
     def test_comments_and_whitespace(self):
         p = parse_program("% a comment\n  a.  % trailing\n\n")

@@ -277,6 +277,22 @@ class TestPartialEnumeration:
         assert capsys.readouterr().out == "Answer 1: a\nUNKNOWN\n"
 
 
+class TestMalformedSolverOutput:
+    @pytest.mark.parametrize(
+        "model",
+        ["(model (define-fun x () Int (/ 1 0)))", "(" * 3000 + ")" * 3000],
+        ids=["division-by-zero", "deep-nesting"],
+    )
+    def test_cli_exits_with_the_solver_error_code(self, tmp_path, capsys, model):
+        solver = tmp_path / "bad_solver.py"
+        solver.write_text(f"import sys\nsys.stdin.read()\nprint('sat')\nprint({model!r})\n")
+        program = tmp_path / "p.lp"
+        program.write_text("a :- |x > 0|.\n:- not a.\n")
+        code = cli.main([str(program), "--solver", f"{sys.executable} {solver}"])
+        assert code == cli.EXIT_SOLVER_ERROR
+        assert capsys.readouterr().err.startswith("casp2smt: solver error: ")
+
+
 class TestOracleCap:
     def test_cli_reports_the_cap_without_a_traceback(self, tmp_path, capsys):
         program = tmp_path / "wide.lp"
@@ -314,6 +330,14 @@ class TestOracleAgreesWithSolver:
             # atoms named like SMT-LIB constants or numeric symbols
             ("{false}.\n:- not false.\n", [], 0, {"false"}),
             ("{x}.\n:- not x.\na :- |x > 0|, x.\n", [], 0, {"x", "x a |x>0|"}),
+            # variables named like SMT-LIB words, reported under their own names
+            ("a :- |true > 0|.\n:- not a.\n", [], 0, {"a |true>0|"}),
+            (
+                "a :- |true + and > 3|.\n:- not a.\n",
+                ["--extended", "--var-box", "0", "2"],
+                0,
+                {"a |and+true>3|  and=2 true=2"},
+            ),
             # a multivariate constraint over the reals
             ("a :- |x + y > 2|.\n:- not a.\n", ["--logic", "lra"], 0, {"a |x+y>2|"}),
             # the box bounds the reals on both paths
@@ -324,7 +348,14 @@ class TestOracleAgreesWithSolver:
                 set(),
             ),
         ],
-        ids=["smt-constant-name", "numeric-symbol-name", "multivariate-reals", "box-over-reals"],
+        ids=[
+            "smt-constant-name",
+            "numeric-symbol-name",
+            "smt-word-variable",
+            "smt-word-variables-extended",
+            "multivariate-reals",
+            "box-over-reals",
+        ],
     )
     def test_same_answers(self, solver_cmd, tmp_path, capsys, text, args, code, answers):
         program = tmp_path / "p.lp"

@@ -4,19 +4,16 @@ from fractions import Fraction
 
 import pytest
 
-from casp2smt.completion import completion, input_completion
-from casp2smt.errors import PartialRanking, RankVarForIrregular
+from casp2smt.completion import input_completion
+from casp2smt.errors import HeadsIntersectInput, PartialRanking, RankVarForIrregular
 from casp2smt.formula import Atom, And, Implies, Not, Or, TOP, eval_formula, models_of
-from casp2smt.lincon import LexiconKind, LinearConstraint, LinExpr, Rel, negate
+from casp2smt.lincon import LinearConstraint, LinExpr, Rel, negate
 from casp2smt.lincon import gcsp_solve_bounded
 from casp2smt.parser import parse_program
-from casp2smt.program import atom, constraint_atom, heads, input_answer_sets, is_answer_set
+from casp2smt.program import atom, constraint_atom, heads, input_answer_sets, is_input_answer_set
 from casp2smt.ranking import (
     build_ranking_formula,
     check_input_level_ranking,
-    check_level_ranking,
-    exists_input_level_ranking,
-    exists_level_ranking,
     find_level_ranking,
     fresh_rank_var,
 )
@@ -26,8 +23,6 @@ from .test_script_bytes import RING12
 
 a, b_, c_, switch, light, am = map(atom, ("a", "b", "c", "switch", "lightOn", "am"))
 
-INT = LexiconKind.INTEGER_LINEAR
-
 
 def brute_force_ranking_exists(p, x, iota=frozenset()):
     """Independent oracle: try every ranking with values 0..|x minus iota|."""
@@ -35,12 +30,7 @@ def brute_force_ranking_exists(p, x, iota=frozenset()):
     ceiling = len(ranked)
     for values in itertools.product(range(ceiling + 1), repeat=len(ranked)):
         lr = dict(zip(ranked, values))
-        ok = (
-            check_input_level_ranking(p, x, iota, lr)
-            if iota
-            else check_level_ranking(p, x, lr)
-        )
-        if ok:
+        if check_input_level_ranking(p, x, lr, iota):
             return True
     return False
 
@@ -49,19 +39,19 @@ class TestCheckLevelRanking:
     def test_light_program_ranking(self, acp_text):
         p = parse_program(acp_text)
         x = {switch, light}
-        assert check_level_ranking(p, x, {switch: 0, light: 1})
+        assert check_input_level_ranking(p, x, {switch: 0, light: 1})
 
     def test_flat_ranking_fails(self, acp_text):
         p = parse_program(acp_text)
         x = {switch, light}
-        assert not check_level_ranking(p, x, {switch: 1, light: 1})
+        assert not check_input_level_ranking(p, x, {switch: 1, light: 1})
 
     def test_empty_set_is_vacuous(self, acp_text):
-        assert check_level_ranking(parse_program(acp_text), set(), {})
+        assert check_input_level_ranking(parse_program(acp_text), set(), {})
 
     def test_partial_ranking_rejected(self, acp_text):
         with pytest.raises(PartialRanking):
-            check_level_ranking(parse_program(acp_text), {switch, light}, {switch: 0})
+            check_input_level_ranking(parse_program(acp_text), {switch, light}, {switch: 0})
 
 
 class TestCheckInputLevelRanking:
@@ -69,26 +59,28 @@ class TestCheckInputLevelRanking:
         p = parse_program(pi1_text)
         x = {switch, light, atom("|x>=12|")}
         iota = p.irregular_atoms
-        assert check_input_level_ranking(p, x, iota, {switch: 0, light: 1})
-        assert not check_input_level_ranking(p, x, iota, {switch: 5, light: 0})
+        assert check_input_level_ranking(p, x, {switch: 0, light: 1}, iota)
+        assert not check_input_level_ranking(p, x, {switch: 5, light: 0}, iota)
 
     def test_all_input_needs_empty_ranking(self, pi1_text):
         p = parse_program(pi1_text)
-        assert check_input_level_ranking(
-            p, {atom("|x>=12|")}, p.irregular_atoms, {}
-        )
+        assert check_input_level_ranking(p, {atom("|x>=12|")}, {}, p.irregular_atoms)
 
 
 class TestExistsLevelRanking:
     def test_light_program(self, acp_text):
-        assert exists_level_ranking(parse_program(acp_text), {switch, light})
+        assert find_level_ranking(parse_program(acp_text), {switch, light}) is not None
 
     def test_unsupported_cycle(self):
         p = parse_program("a :- b.\nb :- a.\n")
-        assert not exists_level_ranking(p, {a, b_})
+        assert find_level_ranking(p, {a, b_}) is None
 
     def test_empty_set(self):
-        assert exists_level_ranking(parse_program("a.\n"), set())
+        assert find_level_ranking(parse_program("a.\n"), set()) == {}
+
+    def test_head_in_input_is_rejected(self, acp_text):
+        with pytest.raises(HeadsIntersectInput):
+            find_level_ranking(parse_program(acp_text), {switch, light}, {light})
 
     def test_decided_beyond_the_oracle_cap(self):
         # every atom of the 12-node ring: 36 regular atoms ranked over its
@@ -96,7 +88,7 @@ class TestExistsLevelRanking:
         p = parse_program(RING12)
         x = frozenset(p.atoms)
         assert len(x) == 48
-        assert exists_input_level_ranking(p, x, p.irregular_atoms)
+        assert find_level_ranking(p, x, p.irregular_atoms) is not None
 
     def test_found_witness_passes_the_checker(self):
         rng = random.Random(41)
@@ -105,14 +97,14 @@ class TestExistsLevelRanking:
             x = random_subset(rng, p.atoms)
             witness = find_level_ranking(p, x)
             if witness is not None:
-                assert check_level_ranking(p, x, witness)
+                assert check_input_level_ranking(p, x, witness)
 
     def test_agrees_with_brute_force(self):
         rng = random.Random(43)
         for _ in range(60):
             p = random_program(rng, max_atoms=4, max_rules=6)
             x = random_subset(rng, p.atoms)
-            assert exists_level_ranking(p, x) == brute_force_ranking_exists(p, x)
+            assert (find_level_ranking(p, x) is not None) == brute_force_ranking_exists(p, x)
 
     def test_input_variant_agrees_with_brute_force(self):
         rng = random.Random(47)
@@ -120,9 +112,8 @@ class TestExistsLevelRanking:
             p = random_program(rng, max_atoms=4, max_rules=6)
             iota = random_subset(rng, set(p.atoms) - heads(p))
             x = random_subset(rng, p.atoms)
-            assert exists_input_level_ranking(p, x, iota) == brute_force_ranking_exists(
-                p, x, iota
-            )
+            found = find_level_ranking(p, x, iota) is not None
+            assert found == brute_force_ranking_exists(p, x, iota)
 
 
 class TestTheoremEquivalences:
@@ -130,8 +121,8 @@ class TestTheoremEquivalences:
         rng = random.Random(53)
         for _ in range(150):
             p = random_program(rng, max_atoms=6, max_rules=9)
-            for x in models_of(completion(p), p.atoms):
-                assert is_answer_set(p, x) == exists_level_ranking(p, x)
+            for x in models_of(input_completion(p), p.atoms):
+                assert is_input_answer_set(p, x) == (find_level_ranking(p, x) is not None)
 
     def test_input_answer_set_iff_input_ranking_on_icomp_models(self):
         rng = random.Random(59)
@@ -140,7 +131,7 @@ class TestTheoremEquivalences:
             iota = random_subset(rng, set(p.atoms) - heads(p))
             answer_sets = set(input_answer_sets(p, iota))
             for x in models_of(input_completion(p, iota), p.atoms):
-                assert (x in answer_sets) == exists_input_level_ranking(p, x, iota)
+                assert (x in answer_sets) == (find_level_ranking(p, x, iota) is not None)
 
     def test_ranking_values_never_need_to_exceed_set_size(self):
         rng = random.Random(61)
@@ -237,7 +228,7 @@ class TestRankingFormulaSemantics:
                 continue
             gcsp = [t.constraint for t in sorted(xi)]
             gcsp += [negate(t.constraint) for t in sorted(set(ratoms) - xi)]
-            if gcsp_solve_bounded(gcsp, INT, 0, hi) is not None:
+            if gcsp_solve_bounded(gcsp, 0, hi) is not None:
                 return True
         return False
 

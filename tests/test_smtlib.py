@@ -3,13 +3,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from casp2smt.completion import input_completion
-from casp2smt.errors import SolverSpawnFailure, UnknownSymbol
-from casp2smt.formula import ClauseSet, to_clauses
+from casp2smt.errors import SolverProtocolError, SolverSpawnFailure, UnknownSymbol
+from casp2smt.formula import ClauseSet, conj, to_clauses
 from casp2smt.lincon import LexiconKind
 from casp2smt.parser import parse_program
 from casp2smt.program import atom, input_answer_sets
+from casp2smt.ranking import build_ranking_formula
 from casp2smt.smtlib import (
     SmtModel,
     SmtScript,
@@ -86,6 +89,21 @@ class TestEmit:
         assert "(declare-fun x () Real)" in script.text
 
 
+# model values built from numerals, including 0, with - and /
+VALUES = st.recursive(
+    st.sampled_from(["0", "1", "2", "0.5"]),
+    lambda inner: st.one_of(
+        st.tuples(st.just("-"), inner), st.tuples(st.just("/"), inner, inner)
+    ).map(lambda parts: f"({' '.join(parts)})"),
+    max_leaves=6,
+)
+TOKENS = st.one_of(
+    VALUES.map(lambda v: f"(define-fun x () Int {v})"),
+    st.sampled_from(["(", ")", "define-fun", "x", "()", "Int", "-", "/", "0"]),
+)
+MODEL_TEXT = st.lists(TOKENS, max_size=10).map(" ".join)
+
+
 class TestParseModel:
     def test_plain_values(self):
         m = parse_model("((define-fun x () Int 12) (define-fun a () Bool true))")
@@ -99,6 +117,28 @@ class TestParseModel:
     def test_rational_and_model_keyword(self):
         m = parse_model("(model (define-fun r () Real (/ 9 2)) (define-fun s () Real (- (/ 1 4))))")
         assert m.nums == {"r": Fraction(9, 2), "s": Fraction(-1, 4)}
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "(model (define-fun x () Int (/ 1 0)))",
+            "(" * 3000 + ")" * 3000,
+            "(define-fun x () Int " + "(- " * 3000 + "1" + ")" * 3001,
+        ],
+        ids=["division-by-zero", "deep-nesting", "deep-value"],
+    )
+    def test_malformed_output_is_a_protocol_error(self, text):
+        with pytest.raises(SolverProtocolError):
+            parse_model(text)
+
+    @given(MODEL_TEXT)
+    def test_model_text_gives_a_model_or_a_protocol_error(self, text):
+        try:
+            m = parse_model(text)
+        except SolverProtocolError:
+            return
+        assert all(isinstance(v, Fraction) for v in m.nums.values())
+
 
 
 # a regular atom spelled like the symbol of a constraint atom: the two share
@@ -161,7 +201,11 @@ class TestDecode:
             assert x == {a for a, sym in table.items() if a in set(p.atoms) and m.bools[sym]}
 
     def test_fresh_and_rank_symbols_are_dropped(self, pi1_text):
-        p, clauses, script = pi1_script(pi1_text)
+        p = parse_program(pi1_text)
+        iota = p.irregular_atoms
+        clauses = to_clauses(conj([input_completion(p, iota), build_ranking_formula(p, iota).formula]))
+        script = emit_script(clauses, INT)
+        assert "__lr_lightOn" in script.num_symbols
         m = SmtModel(
             {s: False for s in script.bool_symbols},
             {"x": Fraction(12), "__lr_lightOn": Fraction(3)},
