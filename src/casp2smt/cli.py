@@ -1,15 +1,25 @@
 """Command-line entry point.
 
-Exit codes: 0 satisfiable, 1 unsatisfiable, 2 unknown, 10 and up for errors.
-Unknown (2) is also the code of an enumeration cut short: when a solver call
-ends in 'unknown' or a timeout after some answers were found, those answers
-are still printed, but the list may be incomplete.
+exit codes:
+  0   satisfiable
+  1   unsatisfiable
+  2   unknown: a solver call answered 'unknown' or timed out; the answers
+      found before it are printed, but the list may be incomplete (argparse
+      also exits 2 on a usage error)
+  10  the program file does not parse
+  11  inconsistent options, or --mode tight on a non-tight program
+  12  the solver cannot be started, or its output cannot be read, such as
+      'sat' with no model or with an (error ...) form
+  13  any other error, such as a program file that cannot be read or is
+      not UTF-8, an --emit-smtlib file that cannot be written, or more
+      atoms than the oracle enumerates
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 from typing import Optional, Sequence
 
 from .errors import (
@@ -37,10 +47,12 @@ def build_arg_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="casp2smt",
         description=(
-            "Solve ground constraint answer set programs by compiling their "
-            "input completion (plus a ranking formula for non-tight programs) "
+            "Solve ground constraint answer set programs by compiling their\n"
+            "input completion (plus a ranking formula for non-tight programs)\n"
             "to SMT-LIB 2."
         ),
+        epilog=(__doc__ or "").partition("\n\n")[2],
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     parser.add_argument("file", help="program file (UTF-8)")
     parser.add_argument(
@@ -137,8 +149,8 @@ def config_from_args(args: argparse.Namespace) -> SolveConfig:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_arg_parser().parse_args(argv)
     try:
-        text = open(args.file, encoding="utf-8").read()
-    except OSError as exc:
+        text = Path(args.file).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"casp2smt: cannot read {args.file}: {exc}", file=sys.stderr)
         return EXIT_OTHER_ERROR
     try:
@@ -153,7 +165,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (SolverSpawnFailure, SolverProtocolError) as exc:
         print(f"casp2smt: solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER_ERROR
-    except Casp2SmtError as exc:
+    except (Casp2SmtError, OSError) as exc:
         print(f"casp2smt: {exc}", file=sys.stderr)
         return EXIT_OTHER_ERROR
     output = render_report(report, args.format)

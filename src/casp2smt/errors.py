@@ -26,10 +26,6 @@ class UnboundVariable(Casp2SmtError):
         self.name = name
 
 
-class PartialRanking(Casp2SmtError):
-    """A level ranking does not assign every atom it must rank."""
-
-
 class RankVarForIrregular(Casp2SmtError):
     """Rank variables exist for regular atoms only."""
 
@@ -44,10 +40,6 @@ class SolverProtocolError(Casp2SmtError):
 
 class UnknownSymbol(Casp2SmtError):
     """A symbol outside the script's declarations was referenced."""
-
-
-class NotAModel(Casp2SmtError):
-    """The given assignment does not satisfy the clause set."""
 
 
 class ParseError(Casp2SmtError):

@@ -1,12 +1,12 @@
-"""Propositional formulas, model enumeration, and definitional clausification."""
+"""Propositional formula trees and their definitional clausification; the
+package builds formulas for the solver and never enumerates their models."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import AbstractSet, Iterable, Tuple
+from typing import Iterable, Tuple
 
-from .errors import NotAModel
-from .program import AtomId, subsets
+from .program import AtomId
 
 FRESH_PREFIX = "__def_"
 
@@ -96,28 +96,6 @@ def implies(lhs: PropFormula, rhs: PropFormula) -> PropFormula:
     if lhs == BOTTOM:
         return TOP
     return Implies(lhs, rhs)
-
-
-def eval_formula(f: PropFormula, x: AbstractSet[AtomId]) -> bool:
-    if isinstance(f, Atom):
-        return f.atom in x
-    if isinstance(f, Const):
-        return f.value
-    if isinstance(f, Not):
-        return not eval_formula(f.arg, x)
-    if isinstance(f, And):
-        return all(eval_formula(g, x) for g in f.args)
-    if isinstance(f, Or):
-        return any(eval_formula(g, x) for g in f.args)
-    if isinstance(f, Implies):
-        return not eval_formula(f.lhs, x) or eval_formula(f.rhs, x)
-    raise TypeError(f"not a formula node: {f!r}")
-
-
-def models_of(f: PropFormula, vocab: Iterable[AtomId]) -> list[frozenset[AtomId]]:
-    """All models over the vocabulary, in lexicographic order of atom-name
-    bit vectors. Atoms outside the assignment read as false."""
-    return [x for x in subsets(vocab) if eval_formula(f, x)]
 
 
 def unique_name(base: str, used: set[str]) -> str:
@@ -242,21 +220,3 @@ def to_clauses(f: PropFormula) -> ClauseSet:
     worker.assert_formula(_nnf(f))
     return ClauseSet(tuple(worker.clauses), frozenset(worker.fresh))
 
-
-def satisfies_clauses(m: AbstractSet[AtomId], clauses: ClauseSet) -> bool:
-    return all(
-        any((a in m) == sign for a, sign in clause) for clause in clauses.clauses
-    )
-
-
-def project_model(m: AbstractSet[AtomId], c: ClauseSet) -> frozenset[AtomId]:
-    """Strip definitional atoms from a clause model."""
-    if not satisfies_clauses(m, c):
-        raise NotAModel(f"{sorted(a.name for a in m)} does not satisfy the clauses")
-    return frozenset(m) - c.fresh_atoms
-
-
-def clause_models(c: ClauseSet, vocab: Iterable[AtomId]) -> list[frozenset[AtomId]]:
-    """All clause models over vocab plus the clause set's fresh atoms."""
-    names = set(vocab) | c.fresh_atoms
-    return [x for x in subsets(names) if satisfies_clauses(x, c)]

@@ -10,12 +10,12 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import AbstractSet, Iterable, Iterator, Optional, Sequence, Tuple, Union
+from typing import AbstractSet, Iterator, Optional, Sequence, Tuple, Union
 
 from . import lincon
 from .completion import input_completion
 from .errors import InconsistentConfig, NotTight, SolverSpawnFailure
-from .formula import conj, models_of, to_clauses
+from .formula import conj, to_clauses
 from .lincon import LexiconKind, LinearConstraint, negate
 from .program import AtomId, Program, is_input_answer_set, is_tight
 from .ranking import RANK_PREFIX, build_ranking_formula
@@ -158,23 +158,6 @@ def verify(
     if not (set(x) <= set(p.atoms) and is_input_answer_set(p, x, scope)):
         return False
     return bool(_solutions(_induced_gcsp(scope, x), kind, box))
-
-
-def constraint_models(
-    formula,
-    vocab: Iterable[AtomId],
-    kind: LexiconKind = LexiconKind.INTEGER_LINEAR,
-    box: Optional[Tuple[int, int]] = None,
-) -> list[frozenset[AtomId]]:
-    """Models of a formula over atoms that carry their constraints:
-    propositional models whose induced constraint problem is solvable."""
-    vocab = tuple(vocab)
-    scope = {a for a in vocab if a.constraint is not None}
-    return [
-        x
-        for x in models_of(formula, vocab)
-        if _solutions(_induced_gcsp(scope, x), kind, box)
-    ]
 
 
 def _ordered(p: Program, x: AbstractSet[AtomId]) -> Tuple[AtomId, ...]:

@@ -74,15 +74,6 @@ class Rule:
         return self.pos <= x and not (self.neg & x) and self.dneg <= x
 
 
-def rule(
-    head: Optional[AtomId],
-    pos: Iterable[AtomId] = (),
-    neg: Iterable[AtomId] = (),
-    dneg: Iterable[AtomId] = (),
-) -> Rule:
-    return Rule(head, frozenset(pos), frozenset(neg), frozenset(dneg))
-
-
 @dataclass(frozen=True)
 class Program:
     """Immutable ground program. Its irregular atoms carry their constraints,
@@ -137,21 +128,6 @@ def require_heads_outside_input(p: Program, iota: AbstractSet[AtomId]) -> None:
         )
 
 
-def satisfies_rule(x: AbstractSet[AtomId], r: Rule) -> bool:
-    """Classical satisfaction of the rule as an implication."""
-    return not r.body_holds(x) or (r.head is not None and r.head in x)
-
-
-def reduct(p: Program, x: AbstractSet[AtomId]) -> Program:
-    """Drop rules whose negative body part x falsifies; survivors keep head
-    and positive body only."""
-    kept = tuple(
-        Rule(head, pos, frozenset(), frozenset())
-        for head, pos in _reduct_pairs(p.rules, x)
-    )
-    return Program(kept)
-
-
 def _reduct_pairs(
     rules: Iterable[Rule], x: AbstractSet[AtomId]
 ) -> list[tuple[Optional[AtomId], frozenset[AtomId]]]:
@@ -204,10 +180,6 @@ def subsets(names: Iterable[AtomId]) -> Iterator[frozenset[AtomId]]:
         raise OracleCapExceeded(len(ordered), ORACLE_CAP)
     for bits in itertools.product((False, True), repeat=len(ordered)):
         yield frozenset(a for a, b in zip(ordered, bits) if b)
-
-
-def with_facts(p: Program, xs: Iterable[AtomId]) -> Program:
-    return Program(p.rules + tuple(rule(a) for a in sorted(xs)))
 
 
 def input_answer_sets(

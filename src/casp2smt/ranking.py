@@ -1,9 +1,10 @@
-"""Level rankings and the unfounded-loop-breaking ranking formula.
+"""The unfounded-loop-breaking ranking formula.
 
 A level ranking witnesses non-circular support: every true atom must have a
 satisfied body whose positive (non-input) atoms rank strictly lower. The
-ranking formula expresses the same condition with fresh difference-constraint
-atoms over integer rank variables, one per ordered atom pair.
+formula states that some ranking exists, with fresh difference-constraint
+atoms over integer rank variables, one per ordered atom pair; no ranking is
+checked or searched for here.
 """
 
 from __future__ import annotations
@@ -11,67 +12,15 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import AbstractSet, Mapping, Optional, Tuple
+from typing import AbstractSet, Optional, Tuple
 
 from .completion import body_formula
-from .errors import PartialRanking, RankVarForIrregular
+from .errors import RankVarForIrregular
 from .formula import Atom, PropFormula, conj, disj, implies, unique_name
 from .lincon import LinearConstraint, LinExpr, Rel
 from .program import AtomId, Program, constraint_atom, require_heads_outside_input
 
 RANK_PREFIX = "__lr_"
-
-LevelRanking = Mapping[AtomId, int]
-
-
-def check_input_level_ranking(
-    p: Program, x: AbstractSet[AtomId], lr: LevelRanking, iota: AbstractSet[AtomId] = frozenset()
-) -> bool:
-    """Every non-input atom of x needs a satisfied body whose positive
-    non-input atoms all rank at least one below the atom itself; input atoms
-    are never ranked."""
-    require_heads_outside_input(p, iota)
-    ranked = set(x) - set(iota)
-    missing = ranked - set(lr)
-    if missing:
-        raise PartialRanking(f"unranked atoms: {sorted(a.name for a in missing)}")
-    for a in ranked:
-        if not any(
-            r.body_holds(x) and all(lr[a] - 1 >= lr[b] for b in r.pos - iota)
-            for r in p.rules_by_head.get(a, ())
-        ):
-            return False
-    return True
-
-
-def find_level_ranking(
-    p: Program, x: AbstractSet[AtomId], iota: AbstractSet[AtomId] = frozenset()
-) -> Optional[dict[AtomId, int]]:
-    """A witness ranking, or None when none exists: the atoms of x (minus
-    iota) are layered bottom-up through their satisfied bodies, which
-    succeeds exactly when a ranking exists. Values never need to exceed the
-    size of x, so no candidate rankings are enumerated."""
-    require_heads_outside_input(p, iota)
-    target = set(x) - set(iota)
-    levels: dict[AtomId, int] = {}
-    stage = 0
-    while True:
-        added = False
-        for a in target - levels.keys():
-            for r in p.rules_by_head.get(a, ()):
-                if not r.body_holds(x):
-                    continue
-                support = r.pos - iota
-                if support <= levels.keys() and all(levels[b] < stage for b in support):
-                    levels[a] = stage
-                    added = True
-                    break
-        if not added:
-            break
-        stage += 1
-    if set(levels) == target:
-        return levels
-    return None
 
 
 def fresh_rank_var(a: AtomId, used: Optional[set[str]] = None) -> str:

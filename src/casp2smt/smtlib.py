@@ -7,8 +7,9 @@ import re
 import shlex
 import subprocess
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence, Tuple, Union
 
@@ -101,14 +102,21 @@ def box_assert(var: str, lo: int, hi: int, int_sort: bool = True) -> str:
 class SmtScript:
     """Deterministic SMT-LIB 2 script: sorted declarations, bridge assertions
     tying each constraint atom's boolean to its theory atom, then the clauses.
-    The symbol tables map atoms and numeric variables to their symbols."""
+    One symbol table per sort maps atoms or numeric variables to symbols, in
+    the declaration order, which is by symbol."""
 
     logic: str
-    bool_symbols: Tuple[str, ...]
-    num_symbols: Tuple[str, ...]
-    asserts: Tuple[str, ...]
-    atom_symbols: Tuple[Tuple[AtomId, str], ...]
+    asserts: Tuple[str, ...] = ()
+    atom_symbols: Tuple[Tuple[AtomId, str], ...] = ()
     var_symbols: Tuple[Tuple[str, str], ...] = ()
+
+    @property
+    def bool_symbols(self) -> Tuple[str, ...]:
+        return tuple(map(itemgetter(1), self.atom_symbols))
+
+    @property
+    def num_symbols(self) -> Tuple[str, ...]:
+        return tuple(map(itemgetter(1), self.var_symbols))
 
     @property
     def num_sort(self) -> str:
@@ -117,20 +125,13 @@ class SmtScript:
     @property
     def text(self) -> str:
         lines = [f"(set-logic {self.logic})"]
-        lines += [f"(declare-fun {s} () Bool)" for s in self.bool_symbols]
-        lines += [f"(declare-fun {s} () {self.num_sort})" for s in self.num_symbols]
-        lines += list(self.asserts)
+        lines += [f"(declare-fun {s} () Bool)" for _, s in self.atom_symbols]
+        lines += [f"(declare-fun {s} () {self.num_sort})" for _, s in self.var_symbols]
+        lines += self.asserts
         return "\n".join(lines) + "\n"
 
     def with_asserts(self, extra: Iterable[str]) -> "SmtScript":
-        return SmtScript(
-            self.logic,
-            self.bool_symbols,
-            self.num_symbols,
-            self.asserts + tuple(extra),
-            self.atom_symbols,
-            self.var_symbols,
-        )
+        return replace(self, asserts=self.asserts + tuple(extra))
 
 
 def emit_script(clauses: ClauseSet, kind: LexiconKind) -> SmtScript:
@@ -156,11 +157,9 @@ def emit_script(clauses: ClauseSet, kind: LexiconKind) -> SmtScript:
     clause_asserts = [_clause_assert(clause, table) for clause in clauses.clauses]
     return SmtScript(
         logic=logic,
-        bool_symbols=tuple(sorted(table.values())),
-        num_symbols=tuple(sorted(nums.values())),
         asserts=tuple(bridged + clause_asserts),
-        atom_symbols=tuple(sorted(table.items(), key=lambda kv: kv[1])),
-        var_symbols=tuple(nums.items()),
+        atom_symbols=tuple(sorted(table.items(), key=itemgetter(1))),
+        var_symbols=tuple(sorted(nums.items(), key=itemgetter(1))),
     )
 
 
@@ -233,9 +232,13 @@ def _numeric_value(node) -> Fraction:
 def parse_model(text: str) -> SmtModel:
     """Extract booleans and numerals from get-model style output; handles
     (- n) and (/ p q) forms. Output that is not a model, however deeply
-    nested, raises :class:`SolverProtocolError`."""
+    nested, raises :class:`SolverProtocolError`, as does output with no model
+    list or with an ``(error ...)`` form: it would read as all false and 0."""
     model = SmtModel({}, {})
     forms = _read_sexprs(_tokenize_sexpr(text))
+    lists = [form for form in forms if isinstance(form, list)]
+    if not lists or any(form[:1] == ["error"] for form in lists):
+        raise SolverProtocolError(f"no model after sat: {text.strip()[:200]!r}")
 
     def walk(node) -> None:
         if not isinstance(node, list):
@@ -344,16 +347,18 @@ def block_model(
     """Add one assertion excluding the model's assignment over the scope.
     An empty scope blocks everything, ending enumeration."""
     lits = []
-    bools = frozenset(s.bool_symbols)
-    for symbol in sorted(set(scope)):
-        if symbol not in bools:
-            raise UnknownSymbol(f"{symbol} is not a declared boolean")
+    scope, num_scope = set(scope), set(num_scope)
+    # checked against the tables directly: a projection would copy every symbol
+    undeclared = scope.difference(map(itemgetter(1), s.atom_symbols))
+    if undeclared:
+        raise UnknownSymbol(f"{min(undeclared)} is not a declared boolean")
+    undeclared = num_scope.difference(map(itemgetter(1), s.var_symbols))
+    if undeclared:
+        raise UnknownSymbol(f"{min(undeclared)} is not a declared numeric symbol")
+    for symbol in sorted(scope):
         lits.append(symbol if m.bools.get(symbol, False) else f"(not {symbol})")
     int_sort = s.num_sort == "Int"
-    nums = frozenset(s.num_symbols)
-    for symbol in sorted(set(num_scope)):
-        if symbol not in nums:
-            raise UnknownSymbol(f"{symbol} is not a declared numeric symbol")
+    for symbol in sorted(num_scope):
         value = render_number(m.nums.get(symbol, Fraction(0)), int_sort)
         lits.append(f"(= {symbol} {value})")
     if not lits:

@@ -39,7 +39,7 @@ def solver_cmd() -> str:
     """External SMT solver command; honours CASP2SMT_SOLVER, otherwise the
     bundled reference solver. Skips solver-gated tests if neither answers."""
     cmd = os.environ.get("CASP2SMT_SOLVER") or f"{sys.executable} {TOOLS / 'minismt.py'}"
-    probe = SmtScript("QF_LIA", (), (), (), ())
+    probe = SmtScript(logic="QF_LIA")
     try:
         result = run_solver(probe, cmd, timeout=30.0)
     except Exception as exc:  # noqa: BLE001 - any failure means "not configured"

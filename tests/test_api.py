@@ -1,18 +1,44 @@
 """The package's public names."""
 
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
 
 import casp2smt
 
-# names that had a second, plain form beside the input-relative one
 REMOVED = {
+    # names that had a second, plain form beside the input-relative one, and
+    # reference semantics that only the tests ran (now in tests/semantics.py)
     "casp2smt": ["is_answer_set", "enumerate_answer_sets"],
-    "casp2smt.program": ["is_answer_set", "enumerate_answer_sets"],
+    "casp2smt.program": [
+        "is_answer_set",
+        "enumerate_answer_sets",
+        "rule",
+        "satisfies_rule",
+        "reduct",
+        "with_facts",
+    ],
     "casp2smt.completion": ["completion"],
-    "casp2smt.ranking": ["check_level_ranking", "exists_level_ranking", "exists_input_level_ranking"],
-    "casp2smt.formula": ["Iff"],
+    "casp2smt.ranking": [
+        "check_level_ranking",
+        "exists_level_ranking",
+        "exists_input_level_ranking",
+        "check_input_level_ranking",
+        "find_level_ranking",
+        "LevelRanking",
+    ],
+    "casp2smt.formula": [
+        "Iff",
+        "eval_formula",
+        "models_of",
+        "satisfies_clauses",
+        "project_model",
+        "clause_models",
+    ],
+    "casp2smt.pipeline": ["constraint_models"],
+    "casp2smt.errors": ["PartialRanking", "NotAModel"],
 }
 
 
@@ -28,3 +54,33 @@ def test_exported_names_resolve_and_star_import_gives_them():
 @pytest.mark.parametrize("module, name", [(m, n) for m, names in REMOVED.items() for n in names])
 def test_removed_name_is_gone(module, name):
     assert not hasattr(importlib.import_module(module), name)
+
+
+def test_every_public_definition_runs_in_the_package_or_is_exported():
+    """Each public top-level function and class of the package is named
+    somewhere in the package outside its own definition, or is in
+    ``__all__``: code that only the tests run belongs with the tests."""
+    defined: dict[str, str] = {}
+    named: set[str] = set()
+    for path in sorted(Path(casp2smt.__file__).parent.glob("*.py")):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            own = None
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                own = stmt.name
+                if not own.startswith("_"):
+                    defined[own] = path.name
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                else:
+                    continue
+                if name != own:
+                    named.add(name)
+    unused = sorted(
+        f"{module}:{name}"
+        for name, module in defined.items()
+        if name not in named and name not in casp2smt.__all__
+    )
+    assert unused == []

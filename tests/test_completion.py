@@ -3,27 +3,22 @@ import random
 import pytest
 
 from casp2smt.completion import bodies_of, input_completion, rule_implication
-from casp2smt.errors import HeadsIntersectInput, NotAModel
-from casp2smt.formula import (
-    And,
-    Atom,
-    BOTTOM,
-    Implies,
-    Not,
-    clause_models,
-    conj,
-    disj,
-    eval_formula,
-    implies,
-    models_of,
-    project_model,
-    to_clauses,
-)
+from casp2smt.errors import HeadsIntersectInput
+from casp2smt.formula import And, Atom, BOTTOM, Implies, Not, conj, disj, implies, to_clauses
 from casp2smt.parser import parse_program
-from casp2smt.program import Program, atom, rule, with_facts
+from casp2smt.program import Program, atom
 
 from .conftest import families
 from .randprog import random_program, random_subset, random_tight_program
+from .semantics import (
+    NotAModel,
+    clause_models,
+    eval_formula,
+    models_of,
+    project_model,
+    rule,
+    with_facts,
+)
 
 a, b_, switch, light, am = map(atom, ("a", "b", "switch", "lightOn", "am"))
 

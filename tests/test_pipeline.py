@@ -280,8 +280,13 @@ class TestPartialEnumeration:
 class TestMalformedSolverOutput:
     @pytest.mark.parametrize(
         "model",
-        ["(model (define-fun x () Int (/ 1 0)))", "(" * 3000 + ")" * 3000],
-        ids=["division-by-zero", "deep-nesting"],
+        [
+            "(model (define-fun x () Int (/ 1 0)))",
+            "(" * 3000 + ")" * 3000,
+            "",
+            '(error "model generation not enabled")',
+        ],
+        ids=["division-by-zero", "deep-nesting", "no-model", "error-form"],
     )
     def test_cli_exits_with_the_solver_error_code(self, tmp_path, capsys, model):
         solver = tmp_path / "bad_solver.py"
@@ -312,6 +317,23 @@ class TestBadInput:
         program.write_text("a :- |x - x >= 1|.\n")
         assert cli.main([str(program), "--oracle"]) == cli.EXIT_PARSE_ERROR
         assert "constraint has no variables" in capsys.readouterr().err
+
+    def test_program_file_that_is_not_utf8(self, tmp_path, capsys):
+        program = tmp_path / "latin1.lp"
+        program.write_bytes("caf\u00e9.\n".encode("latin-1"))
+        assert cli.main([str(program), "--oracle"]) == cli.EXIT_OTHER_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"casp2smt: cannot read {program}: ")
+
+    def test_emit_path_that_cannot_be_written(self, tmp_path, capsys):
+        program = tmp_path / "p.lp"
+        program.write_text("a.\n")
+        target = tmp_path / "no-such-dir" / "x.smt2"
+        assert cli.main([str(program), "--oracle", "--emit-smtlib", str(target)]) == cli.EXIT_OTHER_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("casp2smt: ") and str(target) in captured.err
 
 
 def cli_answers(capsys, args) -> tuple[int, set[str]]:

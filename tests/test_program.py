@@ -1,4 +1,3 @@
-import itertools
 import random
 
 import pytest
@@ -16,12 +15,11 @@ from casp2smt.program import (
     input_answer_sets,
     is_input_answer_set,
     is_tight,
-    reduct,
-    satisfies_rule,
 )
 
 from .conftest import families, names
 from .randprog import random_cas_program, random_program
+from .semantics import powerset, reduct, satisfies_rule
 
 a, b_, switch, light, am = map(atom, ("a", "b", "switch", "lightOn", "am"))
 
@@ -70,11 +68,6 @@ class TestReduct:
                 assert not r.neg and not r.dneg
 
 
-def all_subsets(items) -> list[frozenset]:
-    items = sorted(items)
-    return [frozenset(c) for k in range(len(items) + 1) for c in itertools.combinations(items, k)]
-
-
 def is_minimal_model_of_reduct(p: Program, x: frozenset) -> bool:
     """The textbook definition, apart from the least-fixpoint code: x is a
     model of its reduct and no proper subset of x is."""
@@ -83,7 +76,7 @@ def is_minimal_model_of_reduct(p: Program, x: frozenset) -> bool:
     def is_model(y) -> bool:
         return all(satisfies_rule(y, r) for r in rules)
 
-    return is_model(x) and not any(is_model(y) for y in all_subsets(x) if y != x)
+    return is_model(x) and not any(is_model(y) for y in powerset(x) if y != x)
 
 
 class TestAnswerSets:
@@ -141,7 +134,7 @@ class TestInputAnswerSets:
         rng = random.Random(17)
         for _ in range(40):
             p = random_program(rng)
-            expected = {x for x in all_subsets(p.atoms) if is_minimal_model_of_reduct(p, x)}
+            expected = {x for x in powerset(p.atoms) if is_minimal_model_of_reduct(p, x)}
             assert set(input_answer_sets(p, frozenset())) == expected
 
     def test_head_in_input_is_rejected(self, acp_text):

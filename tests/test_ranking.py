@@ -5,20 +5,22 @@ from fractions import Fraction
 import pytest
 
 from casp2smt.completion import input_completion
-from casp2smt.errors import HeadsIntersectInput, PartialRanking, RankVarForIrregular
-from casp2smt.formula import Atom, And, Implies, Not, Or, TOP, eval_formula, models_of
+from casp2smt.errors import HeadsIntersectInput, RankVarForIrregular
+from casp2smt.formula import Atom, And, Implies, Not, Or, TOP
 from casp2smt.lincon import LinearConstraint, LinExpr, Rel, negate
 from casp2smt.lincon import gcsp_solve_bounded
 from casp2smt.parser import parse_program
 from casp2smt.program import atom, constraint_atom, heads, input_answer_sets, is_input_answer_set
-from casp2smt.ranking import (
-    build_ranking_formula,
-    check_input_level_ranking,
-    find_level_ranking,
-    fresh_rank_var,
-)
+from casp2smt.ranking import build_ranking_formula, fresh_rank_var
 
 from .randprog import random_program, random_subset
+from .semantics import (
+    PartialRanking,
+    check_input_level_ranking,
+    eval_formula,
+    find_level_ranking,
+    models_of,
+)
 from .test_script_bytes import RING12
 
 a, b_, c_, switch, light, am = map(atom, ("a", "b", "c", "switch", "lightOn", "am"))

@@ -1,6 +1,8 @@
 import itertools
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -27,6 +29,7 @@ from casp2smt.smtlib import (
 
 from .conftest import families
 from .randprog import random_cas_program
+from .semantics import constraint_models
 
 INT = LexiconKind.INTEGER_LINEAR
 REAL = LexiconKind.REAL_LINEAR
@@ -154,18 +157,18 @@ def colliding_script():
 
 class TestBlockModel:
     def test_blocking_assertion(self):
-        script = SmtScript("QF_LIA", ("a", "b"), (), (), ())
+        script = SmtScript(logic="QF_LIA", atom_symbols=((atom("a"), "a"), (atom("b"), "b")))
         m = SmtModel({"a": True, "b": False}, {})
         blocked = block_model(script, m, ["a", "b"])
         assert blocked.asserts[-1] == "(assert (not (and a (not b))))"
 
     def test_empty_scope_blocks_everything(self):
-        script = SmtScript("QF_LIA", (), (), (), ())
+        script = SmtScript(logic="QF_LIA")
         blocked = block_model(script, SmtModel({}, {}), [])
         assert blocked.asserts[-1] == "(assert false)"
 
     def test_unknown_symbol(self):
-        script = SmtScript("QF_LIA", ("a",), (), (), ())
+        script = SmtScript(logic="QF_LIA", atom_symbols=((atom("a"), "a"),))
         with pytest.raises(UnknownSymbol):
             block_model(script, SmtModel({}, {}), ["zzz"])
 
@@ -182,7 +185,7 @@ class TestBlockModel:
             block_model(script, m, scope, ["b__x_ge_1"])
 
     def test_numeric_scope(self):
-        script = SmtScript("QF_LIA", ("a",), ("x",), (), ())
+        script = SmtScript(logic="QF_LIA", atom_symbols=((atom("a"), "a"),), var_symbols=(("x", "x"),))
         m = SmtModel({"a": True}, {"x": Fraction(-7)})
         blocked = block_model(script, m, ["a"], ["x"])
         assert blocked.asserts[-1] == "(assert (not (and a (= x (- 7)))))"
@@ -220,27 +223,27 @@ class TestDecode:
         assert valuation == {"x": Fraction(12)}
 
     def test_empty_vocabulary(self):
-        x, valuation = decode(SmtModel({}, {}), SmtScript("QF_LIA", (), (), (), ()), [])
+        x, valuation = decode(SmtModel({}, {}), SmtScript(logic="QF_LIA"), [])
         assert x == frozenset() and valuation == {}
 
 
 class TestRunSolver:
     def test_integer_gap_is_unsat(self, solver_cmd):
         script = SmtScript(
-            "QF_LIA", (), ("x",), ("(assert (> x 4))", "(assert (< x 5))"), ()
+            logic="QF_LIA", asserts=("(assert (> x 4))", "(assert (< x 5))"), var_symbols=(("x", "x"),)
         )
         assert run_solver(script, solver_cmd).status is Status.UNSAT
 
     def test_real_gap_is_sat(self, solver_cmd):
         script = SmtScript(
-            "QF_LRA", (), ("x",), ("(assert (> x 4))", "(assert (< x 5))"), ()
+            logic="QF_LRA", asserts=("(assert (> x 4))", "(assert (< x 5))"), var_symbols=(("x", "x"),)
         )
         result = run_solver(script, solver_cmd)
         assert result.status is Status.SAT
         assert Fraction(4) < result.model.nums["x"] < Fraction(5)
 
     def test_variable_only_in_a_disequality_gets_a_value(self, solver_cmd):
-        script = SmtScript("QF_LIA", (), ("x",), ("(assert (not (= x 0)))",), ())
+        script = SmtScript(logic="QF_LIA", asserts=("(assert (not (= x 0)))",), var_symbols=(("x", "x"),))
         result = run_solver(script, solver_cmd)
         assert result.status is Status.SAT
         assert result.model.nums["x"] != 0
@@ -253,34 +256,54 @@ class TestRunSolver:
             for j in range(4)
             if (i, j) != (2, 1)
         ]
-        script = SmtScript("QF_LIA", (), ("x", "y"), tuple(box + blocked), ())
+        xy = (("x", "x"), ("y", "y"))
+        script = SmtScript(logic="QF_LIA", asserts=tuple(box + blocked), var_symbols=xy)
         result = run_solver(script, solver_cmd, timeout=30.0)
         assert result.status is Status.SAT
         assert (result.model.nums["x"], result.model.nums["y"]) == (2, 1)
         last = "(assert (not (and (= x 2) (= y 1))))"
-        full = SmtScript("QF_LIA", (), ("x", "y"), tuple(box + blocked + [last]), ())
+        full = SmtScript(logic="QF_LIA", asserts=tuple(box + blocked + [last]), var_symbols=xy)
         assert run_solver(full, solver_cmd, timeout=30.0).status is Status.UNSAT
 
     def test_real_disequality_at_a_bound(self, solver_cmd):
         script = SmtScript(
-            "QF_LRA",
-            (),
-            ("x",),
-            ("(assert (<= 4.0 x))", "(assert (<= x 5.0))", "(assert (not (= x 4.0)))"),
-            (),
+            logic="QF_LRA",
+            asserts=("(assert (<= 4.0 x))", "(assert (<= x 5.0))", "(assert (not (= x 4.0)))"),
+            var_symbols=(("x", "x"),),
         )
         result = run_solver(script, solver_cmd)
         assert result.status is Status.SAT
         assert Fraction(4) < result.model.nums["x"] <= Fraction(5)
 
     def test_empty_script_is_sat(self, solver_cmd):
-        result = run_solver(SmtScript("QF_LIA", (), (), (), ()), solver_cmd)
+        result = run_solver(SmtScript(logic="QF_LIA"), solver_cmd)
         assert result.status is Status.SAT
         assert result.model.bools == {} and result.model.nums == {}
 
     def test_spawn_failure(self):
         with pytest.raises(SolverSpawnFailure):
-            run_solver(SmtScript("QF_LIA", (), (), (), ()), "casp2smt-no-such-solver")
+            run_solver(SmtScript(logic="QF_LIA"), "casp2smt-no-such-solver")
+
+    def test_file_placeholder_gives_the_stdin_result(self, solver_cmd, pi1_text):
+        _, _, script = pi1_script(pi1_text)
+        over_stdin = run_solver(script, solver_cmd)
+        over_file = run_solver(script, solver_cmd + " {file}")
+        assert over_stdin.status is over_file.status is Status.SAT
+        assert over_file.model == over_stdin.model
+
+    def test_file_placeholder_removes_the_temp_file(self, tmp_path):
+        record = tmp_path / "argument.txt"
+        solver = tmp_path / "recording_solver.py"
+        solver.write_text(
+            "import pathlib, sys\n"
+            f"pathlib.Path({str(record)!r}).write_text(sys.argv[1])\n"
+            "print('unsat')\n"
+        )
+        result = run_solver(SmtScript(logic="QF_LIA"), [sys.executable, str(solver), "{file}"])
+        assert result.status is Status.UNSAT
+        passed = Path(record.read_text())
+        assert passed.suffix == ".smt2"
+        assert not passed.exists()
 
 
 class TestBridgeFaithfulness:
@@ -318,8 +341,6 @@ class TestBridgeFaithfulness:
                 x, _ = decode(result.model, current, p.atoms)
                 seen.append(x)
                 current = block_model(current, result.model, scope)
-            from casp2smt.pipeline import constraint_models
-
             expected = constraint_models(
                 input_completion(p, p.irregular_atoms),
                 p.atoms,
