@@ -4,10 +4,9 @@ exit codes:
   0   satisfiable
   1   unsatisfiable
   2   unknown: a solver call answered 'unknown' or timed out; the answers
-      found before it are printed, but the list may be incomplete (argparse
-      also exits 2 on a usage error)
+      found before it are printed, but the list may be incomplete
   10  the program file does not parse
-  11  inconsistent options, or --mode tight on a non-tight program
+  11  a usage error, bad options, or --mode tight on a non-tight program
   12  the solver cannot be started, or its output cannot be read, such as
       'sat' with no model or with an (error ...) form
   13  any other error, such as a program file that cannot be read or is
@@ -147,7 +146,10 @@ def config_from_args(args: argparse.Namespace) -> SolveConfig:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_arg_parser().parse_args(argv)
+    try:
+        args = build_arg_parser().parse_args(argv)
+    except SystemExit as exc:  # 0 after --help, 2 (here UNKNOWN) on a usage error
+        return EXIT_CONFIG_ERROR if exc.code == 2 else 0
     try:
         text = Path(args.file).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:

@@ -56,10 +56,6 @@ class IrregularHead(ParseError):
     """A constraint atom may not be the head of a rule."""
 
 
-class ReservedPrefix(ParseError):
-    """Names starting with a reserved prefix are not accepted as input."""
-
-
 class NotTight(Casp2SmtError):
     """Tight-only mode was requested for a program with positive cycles."""
 

@@ -157,13 +157,14 @@ def _nnf_neg(f: PropFormula) -> PropFormula:
 
 
 class _Clausifier:
-    def __init__(self) -> None:
+    def __init__(self, taken: Iterable[str]) -> None:
         self.clauses: list[tuple[Literal, ...]] = []
         self.fresh: list[AtomId] = []
         self.defined: dict[PropFormula, Literal] = {}
+        self.used = set(taken)
 
     def fresh_atom(self) -> AtomId:
-        a = AtomId(f"{FRESH_PREFIX}{len(self.fresh) + 1}")
+        a = AtomId(unique_name(f"{FRESH_PREFIX}{len(self.fresh) + 1}", self.used))
         self.fresh.append(a)
         return a
 
@@ -213,10 +214,11 @@ class _Clausifier:
         return lit
 
 
-def to_clauses(f: PropFormula) -> ClauseSet:
+def to_clauses(f: PropFormula, taken: Iterable[str] = ()) -> ClauseSet:
     """Definitional clausification of an arbitrary formula. Fresh atoms carry
-    the ``__def_`` prefix and are numbered in traversal order."""
-    worker = _Clausifier()
+    the ``__def_`` prefix, are numbered in traversal order and take none of
+    the taken names, which should hold the names of the formula's atoms."""
+    worker = _Clausifier(taken)
     worker.assert_formula(_nnf(f))
     return ClauseSet(tuple(worker.clauses), frozenset(worker.fresh))
 

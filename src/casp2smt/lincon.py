@@ -14,13 +14,12 @@ exactly and in any number of variables, by :func:`real_solution`.
 from __future__ import annotations
 
 import enum
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
-from .errors import ParseError, UnboundVariable
+from .errors import UnboundVariable
 
 NumberLike = Union[int, Fraction]
 
@@ -319,92 +318,6 @@ def is_difference_shape(c: LinearConstraint) -> bool:
         return False
     coeffs = sorted(coeff for _, coeff in c.expr.terms)
     return coeffs == [Fraction(-1), Fraction(1)]
-
-
-# --- text syntax ------------------------------------------------------------
-#
-# The syntax used inside |...| atoms: integer*variable terms joined by + or -,
-# one relation from  < > <= >= = != , and a number on the right. A bare
-# variable stands for coefficient 1, e.g.  2*x2 + 3*x3 = 13  or  x >= 12.
-
-_TOKEN = re.compile(
-    r"(?P<num>\d+(?:\.\d+)?)|(?P<var>[a-z][A-Za-z0-9_]*)"
-    r"|(?P<op><=|>=|!=|[*+<>=-])|(?P<bad>\S)"
-)
-
-_RELS = {r.value: r for r in Rel}
-
-
-def _tokenize_constraint(text: str, line: int, col: int) -> list[tuple[str, str, int]]:
-    tokens = []
-    for m in _TOKEN.finditer(text):
-        if m.lastgroup == "bad":
-            raise ParseError(f"unexpected character {m.group()!r} in constraint", line, col + m.start())
-        tokens.append((m.lastgroup, m.group(), col + m.start()))
-    return tokens
-
-
-def parse_constraint(text: str, line: int = 0, col: int = 0) -> LinearConstraint:
-    """Parse the text between constraint-atom bars into a constraint."""
-    tokens = _tokenize_constraint(text, line, col)
-    pos = 0
-
-    def peek() -> tuple[str, str, int]:
-        return tokens[pos] if pos < len(tokens) else ("end", "", col + len(text))
-
-    def take(kind: str) -> tuple[str, str, int]:
-        nonlocal pos
-        tok = peek()
-        if tok[0] != kind:
-            raise ParseError(f"expected {kind}, found {tok[1]!r}" if tok[1] else f"expected {kind}", line, tok[2])
-        pos += 1
-        return tok
-
-    def number() -> Fraction:
-        sign = Fraction(1)
-        while peek()[0] == "op" and peek()[1] in "+-":
-            if take("op")[1] == "-":
-                sign = -sign
-        return sign * Fraction(take("num")[1])
-
-    coeffs: dict[str, Fraction] = {}
-    sign = Fraction(1)
-    while True:
-        tok = peek()
-        if tok[0] == "op" and tok[1] in "+-":
-            take("op")
-            sign = -sign if tok[1] == "-" else sign
-            continue
-        if tok[0] == "num":
-            value = Fraction(take("num")[1])
-            take_tok = peek()
-            if take_tok[0] == "op" and take_tok[1] == "*":
-                take("op")
-            var = take("var")[1]
-            coeffs[var] = coeffs.get(var, Fraction(0)) + sign * value
-        elif tok[0] == "var":
-            var = take("var")[1]
-            coeffs[var] = coeffs.get(var, Fraction(0)) + sign
-        else:
-            raise ParseError("expected a term", line, tok[2])
-        sign = Fraction(1)
-        nxt = peek()
-        if nxt[0] == "op" and nxt[1] in "+-":
-            continue
-        break
-
-    tok = take("op")
-    if tok[1] not in _RELS:
-        raise ParseError(f"expected a relation, found {tok[1]!r}", line, tok[2])
-    rel = _RELS[tok[1]]
-    bound = number()
-    if pos != len(tokens):
-        raise ParseError(f"trailing input {peek()[1]!r} in constraint", line, peek()[2])
-    expr = LinExpr.of(coeffs)
-    if not expr.terms:
-        # zero terms are dropped, so |x - x >= 1| has none left
-        raise ParseError("constraint has no variables", line, col)
-    return LinearConstraint(expr, rel, bound)
 
 
 def render_constraint(c: LinearConstraint) -> str:

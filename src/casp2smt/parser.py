@@ -1,13 +1,21 @@
 """Concrete text syntax for ground programs.
 
-Grammar (one statement per ``.``; ``%`` starts a comment):
+Grammar (one statement per ``.``; ``%`` starts a comment outside the bars):
 
-    rule    := (head | choice)? [":-" body] "."
-    choice  := "{" atom "}"
-    body    := lit { "," lit }
-    lit     := ["not" ["not"]] atom
-    atom    := ident | "|" constraint "|"
-    ident   := [a-z][A-Za-z0-9_]*
+    rule       := (head | choice)? [":-" body] "."
+    choice     := "{" atom "}"
+    body       := lit { "," lit }
+    lit        := ["not" ["not"]] atom
+    atom       := name | "|" constraint "|"
+    constraint := term { ("+" | "-") term } rel sign number
+    term       := sign [number ["*"]] name
+    sign       := { "+" | "-" }
+    number     := digits ["." digits]
+    rel        := "<" | ">" | "<=" | ">=" | "=" | "!="
+    name       := [a-z][A-Za-z0-9_]*
+
+A constraint may span lines, and between its bars ``not`` is a variable
+like any other name. Names the encoder makes up start with ``__``.
 
 A choice head ``{a} :- B`` abbreviates ``a :- not not a, B`` and is expanded
 while parsing. Constraint atoms are identified with their constraint, so
@@ -18,68 +26,73 @@ one object per atom.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Iterator, Optional
+from collections import defaultdict, namedtuple
+from fractions import Fraction
+from typing import Optional
 
-from .errors import IrregularHead, ParseError, ReservedPrefix
-from .formula import FRESH_PREFIX
-from .lincon import parse_constraint
+from .errors import IrregularHead, ParseError
+from .lincon import LinearConstraint, LinExpr, Rel
 from .program import AtomId, Program, Rule, constraint_atom
-from .ranking import RANK_PREFIX
 
 _TOKEN = re.compile(
     r"""
       (?P<ws>\s+)
     | (?P<comment>%[^\n]*)
-    | (?P<arrow>:-)
-    | (?P<dot>\.)
-    | (?P<comma>,)
-    | (?P<lbrace>\{)
-    | (?P<rbrace>\})
-    | (?P<bar>\|[^|\n]*(\||(?=\n)|$))
-    | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+    | (?P<punct>:-|[.,{}|+*-])
+    | (?P<rel><=|>=|!=|[<>=])
+    | (?P<num>\d+(?:\.\d+)?)
+    | (?P<name>[a-z][A-Za-z0-9_]*)
+    | (?P<word>[A-Z_][A-Za-z0-9_]*)
     | (?P<bad>.)
     """,
     re.VERBOSE,
 )
 
-_RESERVED = (FRESH_PREFIX, RANK_PREFIX)
+# the token kinds each side of the bars takes; outside them a word, which
+# starts with a capital or "_", is read only to be refused as an atom
+_OUTSIDE = set("|.,{}") | {":-", "ws", "comment", "name", "word"}
+_INSIDE = set("|+-*") | {"ws", "rel", "num", "name"}
+
+# how an error names the token kind it expected; punctuation names itself
+_EXPECTED = {"name": "a name", "num": "a number", "rel": "a relation", "eof": "end of input"}
+
+# kind is name, word, num, rel, bad, eof, or the punctuation itself
+_Token = namedtuple("_Token", "kind value line column")
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    value: str
-    line: int
-    column: int
-
-
-def _tokens(text: str) -> Iterator[_Token]:
-    line, line_start = 1, 0
-    pos = 0
+def _tokens(text: str, bars: bool) -> list[_Token]:
+    """The tokens of a program, or with bars unset of a constraint. Outside
+    the bars a character that no token there takes is an error at once, as
+    is a bar that no later bar closes; between them it is a bad token."""
+    tokens = []
+    inside = not bars
+    line, line_start, pos = 1, 0, 0
     while pos < len(text):
         m = _TOKEN.match(text, pos)
-        assert m is not None
-        kind = m.lastgroup
-        value = m.group()
+        kind, value = m.lastgroup, m.group()
+        kind = value if kind == "punct" else kind
         column = pos - line_start + 1
-        if kind == "bad":
-            raise ParseError(f"unexpected character {value!r}", line, column)
-        if kind == "bar" and not (len(value) >= 2 and value.endswith("|")):
-            raise ParseError("unterminated constraint atom", line, column)
+        if kind not in (_INSIDE if inside else _OUTSIDE) or (kind == "|" and not bars):
+            if not inside:
+                raise ParseError(f"unexpected character {value[0]!r}", line, column)
+            kind, value = "bad", value[0]
+        if kind == "|":
+            inside = not inside
+            if inside and text.find("|", pos + 1) < 0:
+                raise ParseError("unterminated constraint atom", line, column)
         if kind not in ("ws", "comment"):
-            yield _Token(kind, value, line, column)
-        for i, ch in enumerate(value):
-            if ch == "\n":
-                line += 1
-                line_start = pos + i + 1
-        pos = m.end()
-    yield _Token("eof", "", line, len(text) - line_start + 1)
+            tokens.append(_Token(kind, value, line, column))
+        if "\n" in value:
+            line += value.count("\n")
+            line_start = pos + value.rindex("\n") + 1
+        pos += len(value)
+    tokens.append(_Token("eof", "", line, len(text) - line_start + 1))
+    return tokens
 
 
 class _Parser:
-    def __init__(self, text: str):
-        self.tokens = list(_tokens(text))
+    def __init__(self, text: str, bars: bool = True):
+        self.tokens = _tokens(text, bars)
         self.pos = 0
         # one object per atom name, so rules share their atoms
         self.atoms: dict[str, AtomId] = {}
@@ -90,96 +103,102 @@ class _Parser:
     def take(self, kind: Optional[str] = None) -> _Token:
         tok = self.tokens[self.pos]
         if kind is not None and tok.kind != kind:
-            expected = {"dot": "'.'", "rbrace": "'}'"}.get(kind, kind)
+            expected = _EXPECTED.get(kind, repr(kind))
             found = tok.value or "end of input"
             raise ParseError(f"expected {expected}, found {found!r}", tok.line, tok.column)
         self.pos += 1
         return tok
 
-    def parse(self) -> Program:
-        rules = []
-        while self.peek().kind != "eof":
-            rules.append(self.rule())
-        return Program(tuple(rules))
-
     def atom(self) -> AtomId:
-        tok = self.peek()
-        if tok.kind == "ident":
-            self.take()
-            if tok.value == "not":
-                raise ParseError("'not' is a keyword, not an atom", tok.line, tok.column)
-            for prefix in _RESERVED:
-                if tok.value.startswith(prefix):
-                    raise ReservedPrefix(
-                        f"prefix {prefix!r} is reserved", tok.line, tok.column
-                    )
-            if not re.fullmatch(r"[a-z][A-Za-z0-9_]*", tok.value):
-                raise ParseError(
-                    f"identifiers start with a lowercase letter: {tok.value!r}",
-                    tok.line,
-                    tok.column,
-                )
-            return self.atoms.setdefault(tok.value, AtomId(tok.value))
-        if tok.kind == "bar":
-            self.take()
-            inner = tok.value[1:-1]
-            for prefix in _RESERVED:
-                if prefix in inner:
-                    raise ReservedPrefix(
-                        f"prefix {prefix!r} is reserved", tok.line, tok.column
-                    )
-            a = constraint_atom(parse_constraint(inner, tok.line, tok.column + 1))
-            return self.atoms.setdefault(a.name, a)
-        raise ParseError(
-            f"expected an atom, found {tok.value or 'end of input'!r}",
-            tok.line,
-            tok.column,
-        )
+        tok = self.take()
+        if tok.kind == "|":
+            a = constraint_atom(self.constraint(tok.line, tok.column + 1, "|"))
+        elif tok.kind == "name" and tok.value != "not":
+            a = AtomId(tok.value)
+        else:
+            found = tok.value or "end of input"
+            raise ParseError(f"expected an atom, found {found!r}", tok.line, tok.column)
+        return self.atoms.setdefault(a.name, a)
 
-    def literal(self) -> tuple[int, AtomId]:
-        negations = 0
-        while self.peek().kind == "ident" and self.peek().value == "not" and negations < 2:
-            self.take()
-            negations += 1
-        return negations, self.atom()
+    def sign(self) -> int:
+        sign = 1
+        while self.peek().kind in ("+", "-"):
+            sign *= -1 if self.take().kind == "-" else 1
+        return sign
+
+    def constraint(self, line: int, column: int, end: str) -> LinearConstraint:
+        """The constraint whose text starts at the line and column given,
+        read up to a token of the end kind. Like the characters of the
+        program, those of the constraint are checked before its syntax."""
+        i = self.pos
+        while self.tokens[i].kind != end:
+            tok = self.tokens[i]
+            if tok.kind == "bad":
+                raise ParseError(f"unexpected character {tok.value!r}", tok.line, tok.column)
+            i += 1
+        coeffs: defaultdict[str, Fraction] = defaultdict(Fraction)
+        while not coeffs or self.peek().kind in ("+", "-"):
+            coeff = Fraction(self.sign())
+            if self.peek().kind == "num":
+                coeff *= Fraction(self.take().value)
+                if self.peek().kind == "*":
+                    self.take()
+            coeffs[self.take("name").value] += coeff
+        rel = Rel(self.take("rel").value)
+        bound = self.sign() * Fraction(self.take("num").value)
+        self.take(end)
+        expr = LinExpr.of(coeffs)
+        if not expr.terms:
+            # zero terms are dropped, so |x - x >= 1| has none left
+            raise ParseError("constraint has no variables", line, column)
+        return LinearConstraint(expr, rel, bound)
 
     def rule(self) -> Rule:
         tok = self.peek()
         head: Optional[AtomId] = None
-        choice = tok.kind == "lbrace"
+        choice = tok.kind == "{"
         if choice:
             self.take()
             tok = self.peek()
             head = self.atom()
-            self.take("rbrace")
-        elif tok.kind in ("ident", "bar") and tok.value != "not":
+            self.take("}")
+        elif tok.kind in ("name", "|") and tok.value != "not":
             head = self.atom()
         if head is not None and head.constraint is not None:
-            raise IrregularHead(
-                f"constraint atom {head.name} cannot head a rule", tok.line, tok.column
-            )
-        pos: set[AtomId] = set()
-        neg: set[AtomId] = set()
-        dneg: set[AtomId] = set()
-        if self.peek().kind == "arrow":
+            message = f"constraint atom {head.name} cannot head a rule"
+            raise IrregularHead(message, tok.line, tok.column)
+        # positive, negated and doubly negated body atoms
+        parts: tuple[set[AtomId], ...] = (set(), set(), set())
+        if self.peek().kind == ":-":
             self.take()
             while True:
-                negations, a = self.literal()
-                (pos, neg, dneg)[negations].add(a)
-                if self.peek().kind != "comma":
+                negations = 0
+                while self.peek().value == "not" and negations < 2:
+                    self.take()
+                    negations += 1
+                parts[negations].add(self.atom())
+                if self.peek().kind != ",":
                     break
                 self.take()
-        self.take("dot")
+        self.take(".")
         if choice:
-            assert head is not None
-            dneg.add(head)
-        return Rule(head, frozenset(pos), frozenset(neg), frozenset(dneg))
+            parts[2].add(head)
+        return Rule(head, *map(frozenset, parts))
 
 
 def parse_program(text: str) -> Program:
     """Parse program text; choice rules are expanded, and each constraint
     atom carries the constraint parsed from between its bars."""
-    return _Parser(text).parse()
+    parser = _Parser(text)
+    rules = []
+    while parser.peek().kind != "eof":
+        rules.append(parser.rule())
+    return Program(tuple(rules))
+
+
+def parse_constraint(text: str) -> LinearConstraint:
+    """Parse a constraint as written between the bars of its atom."""
+    return _Parser(text, bars=False).constraint(1, 1, "eof")
 
 
 def render_rule(r: Rule) -> str:

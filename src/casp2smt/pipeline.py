@@ -14,11 +14,11 @@ from typing import AbstractSet, Iterator, Optional, Sequence, Tuple, Union
 
 from . import lincon
 from .completion import input_completion
-from .errors import InconsistentConfig, NotTight, SolverSpawnFailure
+from .errors import InconsistentConfig, NotTight, SolverProtocolError, SolverSpawnFailure
 from .formula import conj, to_clauses
 from .lincon import LexiconKind, LinearConstraint, negate
 from .program import AtomId, Program, is_input_answer_set, is_tight
-from .ranking import RANK_PREFIX, build_ranking_formula
+from .ranking import build_ranking_formula
 from .smtlib import (
     Status,
     block_model,
@@ -167,25 +167,21 @@ def _ordered(p: Program, x: AbstractSet[AtomId]) -> Tuple[AtomId, ...]:
 def _encode(p: Program, cfg: SolveConfig, use_ranking: bool):
     sigma_i = p.irregular_atoms
     formula = input_completion(p, sigma_i)
+    rank_vars: AbstractSet[str] = frozenset()
     if use_ranking:
         ranking = build_ranking_formula(p, sigma_i, full=cfg.ranking_full)
         formula = conj([formula, ranking.formula])
-    script = emit_script(to_clauses(formula), cfg.logic)
+        rank_vars = ranking.rank_vars
+    script = emit_script(to_clauses(formula, (a.name for a in p.atoms)), cfg.logic)
     extra: list[str] = []
-    nums = dict(script.var_symbols)
-    # the symbols of the program's variables that occur in the script
-    program_symbols = [
-        nums[v]
-        for v in lincon.constraint_variables(a.constraint for a in sigma_i)
-        if v in nums
-    ]
+    # the program's variables are all the script's but the rank variables
+    program_symbols = [s for v, s in sorted(script.var_symbols) if v not in rank_vars]
     if cfg.var_box is not None:
         lo, hi = cfg.var_box
         int_sort = cfg.logic is LexiconKind.INTEGER_LINEAR
         extra += [box_assert(v, lo, hi, int_sort) for v in program_symbols]
-    if cfg.bound_ranks and use_ranking:
-        rank_vars = [s for v, s in script.var_symbols if v.startswith(RANK_PREFIX)]
-        extra += [box_assert(v, 0, len(p.atoms)) for v in rank_vars]
+    if cfg.bound_ranks:
+        extra += [box_assert(s, 0, len(p.atoms)) for v, s in script.var_symbols if v in rank_vars]
     if extra:
         script = script.with_asserts(extra)
     return script, program_symbols
@@ -215,10 +211,8 @@ def _solve_smt(
             "no SMT solver configured; pass --solver, set "
             f"{SOLVER_ENV_VAR}, or use --oracle"
         )
-    program_atoms = set(p.atoms)
-    atom_scope = [
-        symbol for a, symbol in script.atom_symbols if a in program_atoms
-    ]
+    program_atoms, scope = set(p.atoms), p.irregular_atoms
+    atom_scope = [symbol for a, symbol in script.atom_symbols if a in program_atoms]
     value_scope = program_symbols if cfg.extended and cfg.var_box is not None else ()
     current = script
     while True:
@@ -230,6 +224,12 @@ def _solve_smt(
             return
         assert outcome.model is not None
         x, valuation = decode(outcome.model, current, program_atoms)
+        # certified: an input answer set whose constraint atoms are true
+        # exactly when the model's values satisfy their constraints
+        if not is_input_answer_set(p, x, scope) or not all(
+            lincon.evaluate(c, valuation) for c in _induced_gcsp(scope, x)
+        ):
+            raise SolverProtocolError(f"the solver's model is no answer set: {sorted(x)}")
         yield AnswerResult(_ordered(p, x), valuation if cfg.extended else None)
         current = block_model(current, outcome.model, atom_scope, value_scope)
 

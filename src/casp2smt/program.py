@@ -19,7 +19,7 @@ from graphlib import CycleError, TopologicalSorter
 from typing import AbstractSet, Iterable, Iterator, Optional, Tuple
 
 from .errors import HeadsIntersectInput, OracleCapExceeded
-from .lincon import LinearConstraint, parse_constraint, render_constraint
+from .lincon import LinearConstraint, render_constraint
 
 ORACLE_CAP = 22
 
@@ -50,6 +50,8 @@ def atom(name: str) -> AtomId:
     """Atom of a name; a name in bars is parsed as a constraint and gives
     that constraint's atom, so ``|2*x < 24|`` and ``|x<12|`` are one atom."""
     if name.startswith("|"):
+        from .parser import parse_constraint
+
         return constraint_atom(parse_constraint(name[1:-1]))
     return AtomId(name)
 

@@ -17,7 +17,7 @@ from typing import AbstractSet, Optional, Tuple
 from .completion import body_formula
 from .errors import RankVarForIrregular
 from .formula import Atom, PropFormula, conj, disj, implies, unique_name
-from .lincon import LinearConstraint, LinExpr, Rel
+from .lincon import LinearConstraint, LinExpr, Rel, constraint_variables
 from .program import AtomId, Program, constraint_atom, require_heads_outside_input
 
 RANK_PREFIX = "__lr_"
@@ -58,7 +58,8 @@ def build_ranking_formula(
     """
     require_heads_outside_input(p, iota)
     var_names: dict[AtomId, str] = {}
-    used: set[str] = set()
+    # rank variables take none of the program's constraint variables
+    used = set(constraint_variables(a.constraint for a in p.irregular_atoms))
     pair_atoms: dict[tuple[AtomId, AtomId], AtomId] = {}
 
     def rank_var(a: AtomId) -> str:

@@ -16,10 +16,10 @@ from casp2smt.lincon import (
     gcsp_solve_bounded,
     is_difference_shape,
     negate,
-    parse_constraint,
     real_solution,
     render_constraint,
 )
+from casp2smt.parser import parse_constraint
 from casp2smt.program import atom, constraint_atom
 from casp2smt.smtlib import symbol_table
 

@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from casp2smt.errors import IrregularHead, ParseError, ReservedPrefix
-from casp2smt.parser import parse_program, render_program
+from casp2smt.errors import IrregularHead, ParseError
+from casp2smt.parser import parse_constraint, parse_program, render_program
 from casp2smt.program import Rule, atom, heads, input_answer_sets
 
 from .conftest import families
@@ -68,6 +68,17 @@ class TestParse:
     def test_empty_program(self):
         assert parse_program("").rules == ()
 
+    @pytest.mark.parametrize("text", ["x__lr_a > 0", "a__def_1 < 2", "not > 0"])
+    def test_any_lowercase_name_is_a_constraint_variable(self, text):
+        (r,) = parse_program(f":- |{text}|.").rules
+        (a,) = r.pos
+        assert a.constraint == parse_constraint(text)
+        assert a.constraint.variables == (text.split()[0],)
+
+    def test_constraint_spans_a_line_break(self):
+        p = parse_program(":- a, |2*x\n  + y >= 1|.\na.\n")
+        assert p == parse_program(":- a, |2*x + y >= 1|.\na.\n")
+
 
 class TestParseErrors:
     def test_irregular_head(self):
@@ -79,12 +90,29 @@ class TestParseErrors:
             parse_program("{|x < 12|}.")
 
     def test_reserved_definition_prefix(self):
-        with pytest.raises(ReservedPrefix):
+        # names start with a lowercase letter, generated names with __
+        with pytest.raises(ParseError):
             parse_program("__def_1 :- a.")
 
     def test_reserved_rank_prefix_in_constraint(self):
-        with pytest.raises(ReservedPrefix):
+        with pytest.raises(ParseError):
             parse_program(":- |__lr_a > 0|.")
+
+    @pytest.mark.parametrize(
+        "text,line,column",
+        [
+            ("a.\n:- a, |x < 1 2|.", 2, 14),
+            ("a :- |x + ? < 1|.", 1, 11),
+            (":- |x < 1 % c|.", 1, 11),
+            ("a.\n:- |x < 1.", 2, 4),
+            ("a :- |x - x >= 1|.", 1, 7),
+            (":- |x\n  < y|.", 2, 5),
+        ],
+    )
+    def test_error_in_a_constraint_has_its_program_position(self, text, line, column):
+        with pytest.raises(ParseError) as info:
+            parse_program(text)
+        assert (info.value.line, info.value.column) == (line, column)
 
     def test_error_carries_position(self):
         with pytest.raises(ParseError) as info:

@@ -8,7 +8,7 @@ import pytest
 
 from casp2smt import cli
 from casp2smt.errors import InconsistentConfig, NotTight
-from casp2smt.lincon import LexiconKind
+from casp2smt.lincon import LexiconKind, LinearConstraint, LinExpr, Rel
 from casp2smt.parser import parse_program
 from casp2smt.pipeline import (
     Encoding,
@@ -21,7 +21,7 @@ from casp2smt.pipeline import (
     solve,
     verify,
 )
-from casp2smt.program import ORACLE_CAP, atom
+from casp2smt.program import ORACLE_CAP, Program, Rule, atom, constraint_atom
 
 from .conftest import families
 from .randprog import random_cas_program
@@ -236,6 +236,42 @@ class TestSmtSolve:
         assert text.startswith("(set-logic QF_LIA)\n")
         assert "(assert (= b__x_ge_12 (>= x 12)))" in text
 
+    @pytest.mark.parametrize("name", ["fresh-atom", "rank-variable"])
+    def test_program_names_that_look_generated(self, solver_cmd, name):
+        """Built through the API, a program may name an atom like a Tseitin
+        atom or a variable like a rank variable; the encoder's own names
+        avoid them, so the solver finds every answer the oracle does."""
+        p = GENERATED_LOOKALIKES[name]
+        oracle = solve(p, SolveConfig(oracle_only=True, enumerate=0))
+        smt = solve(p, SolveConfig(solver_cmd=solver_cmd, enumerate=0))
+        assert result_families(smt) == result_families(oracle)
+        assert len(oracle.results) >= 2
+
+
+def _rule(head, pos=(), neg=(), dneg=()):
+    return Rule(head, frozenset(pos), frozenset(neg), frozenset(dneg))
+
+
+def _lookalikes() -> dict[str, Program]:
+    a, b, c, d = atom("a"), atom("b"), atom("c"), atom("__def_1")
+    # {a}. {b}. {__def_1}. c :- a, b. c :- b, not a.
+    # :- c, not __def_1. :- __def_1, not c.
+    fresh = Program((
+        _rule(a, dneg=[a]), _rule(b, dneg=[b]), _rule(d, dneg=[d]),
+        _rule(c, pos=[a, b]), _rule(c, pos=[b], neg=[a]),
+        _rule(None, pos=[c], neg=[d]), _rule(None, pos=[d], neg=[c]),
+    ))
+    # {b}. a :- c. c :- a. c :- b. :- a, not |__lr_c - __lr_a >= 0|.
+    ranks = constraint_atom(LinearConstraint(LinExpr.of({"__lr_c": 1, "__lr_a": -1}), Rel.GE, 0))
+    rank = Program((
+        _rule(b, dneg=[b]), _rule(a, pos=[c]), _rule(c, pos=[a]), _rule(c, pos=[b]),
+        _rule(None, pos=[a], neg=[ranks]),
+    ))
+    return {"fresh-atom": fresh, "rank-variable": rank}
+
+
+GENERATED_LOOKALIKES = _lookalikes()
+
 
 def stalling_solver(directory) -> str:
     """A fake solver that answers its first call with a model where only
@@ -285,8 +321,9 @@ class TestMalformedSolverOutput:
             "(" * 3000 + ")" * 3000,
             "",
             '(error "model generation not enabled")',
+            "()",
         ],
-        ids=["division-by-zero", "deep-nesting", "no-model", "error-form"],
+        ids=["division-by-zero", "deep-nesting", "no-model", "error-form", "empty-model"],
     )
     def test_cli_exits_with_the_solver_error_code(self, tmp_path, capsys, model):
         solver = tmp_path / "bad_solver.py"
@@ -325,6 +362,14 @@ class TestBadInput:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"casp2smt: cannot read {program}: ")
+
+    def test_usage_error_exits_with_the_configuration_code(self, tmp_path, capsys):
+        program = tmp_path / "p.lp"
+        program.write_text("a.\n")
+        assert cli.main([str(program), "--enumerate", "x"]) == cli.EXIT_CONFIG_ERROR
+        assert "invalid int value" in capsys.readouterr().err
+        assert cli.main(["--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: casp2smt")
 
     def test_emit_path_that_cannot_be_written(self, tmp_path, capsys):
         program = tmp_path / "p.lp"

@@ -4,20 +4,25 @@ The SHA-256 of the script ``solve`` writes is pinned for the paper's program
 PI1 and for a reachability ring with chords: over QF_LIA by mode and ranking
 variant, and over QF_LRA, under a variable box and with bounded rank
 variables. A third, non-tight program pins multivariate constraints over
-QF_LIA and QF_LRA. A change that sets out to alter the encoding updates these
-pins and says so; any other change must leave them untouched.
+QF_LIA and QF_LRA, and one digest covers the scripts of random programs in
+every configuration. A change that sets out to alter the encoding updates
+these pins and says so; any other change must leave them untouched.
 """
 
 import hashlib
+import random
 import sys
 
 import pytest
 
+from casp2smt import pipeline
 from casp2smt.lincon import LexiconKind
-from casp2smt.parser import parse_program
+from casp2smt.parser import parse_program, render_program
 from casp2smt.pipeline import Mode, SolveConfig, solve
+from casp2smt.smtlib import SolverResult, Status
 
 from .conftest import PI1
+from .randprog import random_cas_program
 
 
 def ring_text(n: int) -> str:
@@ -129,3 +134,36 @@ def test_multivariate_script_hash_is_pinned(logic, stub_solver, tmp_path):
     text = target.read_text()
     assert "(declare-fun b__x_y_ge_12_1 () Bool)" in text
     assert hashlib.sha256(target.read_bytes()).hexdigest() == MIXED_PINS[logic]
+
+
+# one digest over 1,280 scripts: 40 random programs, each read back from its
+# text, in every combination of logic, mode, ranking variant, rank bounds and
+# variable box
+SWEEP_PIN = "93285c8f8453caea101ee07d6944d2006749410151f1ffbb5bf8c4beabc0ebcb"
+
+SWEEP_CONFIGS = [
+    dict(logic=logic, mode=mode, ranking_full=full, bound_ranks=bound, var_box=box)
+    for logic in (LexiconKind.INTEGER_LINEAR, LexiconKind.REAL_LINEAR)
+    for mode in (Mode.AUTO, Mode.FORCE_RANKING)
+    for full in (False, True)
+    for bound in (False, True)
+    for box in (None, (-4, 4))
+]
+
+
+def test_random_program_sweep_is_pinned(monkeypatch):
+    scripts: list[str] = []
+
+    def record(script, cmd, timeout):
+        scripts.append(script.text)
+        return SolverResult(Status.UNKNOWN)
+
+    monkeypatch.setattr(pipeline, "run_solver", record)
+    rng = random.Random(2017)
+    programs = [parse_program(render_program(random_cas_program(rng))) for _ in range(40)]
+    for p in programs:
+        for config in SWEEP_CONFIGS:
+            solve(p, SolveConfig(solver_cmd="unused", **config))
+    assert len(scripts) == 1280
+    digest = hashlib.sha256("".join(scripts).encode()).hexdigest()
+    assert digest == SWEEP_PIN
