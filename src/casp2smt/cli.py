@@ -7,8 +7,10 @@ exit codes:
       found before it are printed, but the list may be incomplete
   10  the program file does not parse
   11  a usage error, bad options, or --mode tight on a non-tight program
-  12  the solver cannot be started, or its output cannot be read, such as
-      'sat' with no model or with an (error ...) form
+  12  the solver cannot be started; its output cannot be read, such as
+      'sat' with no model or with an (error ...) form; or the in-process
+      check rejects its model, such as one with a non-integer value over
+      QF_LIA
   13  any other error, such as a program file that cannot be read or is
       not UTF-8, an --emit-smtlib file that cannot be written, or more
       atoms than the oracle enumerates

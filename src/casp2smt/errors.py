@@ -38,10 +38,6 @@ class SolverProtocolError(Casp2SmtError):
     """The external SMT solver produced output we cannot interpret."""
 
 
-class UnknownSymbol(Casp2SmtError):
-    """A symbol outside the script's declarations was referenced."""
-
-
 class ParseError(Casp2SmtError):
     """Syntax error in program or constraint text, with position info."""
 

@@ -43,7 +43,6 @@ _TOKEN = re.compile(
     | (?P<num>\d+(?:\.\d+)?)
     | (?P<name>[a-z][A-Za-z0-9_]*)
     | (?P<word>[A-Z_][A-Za-z0-9_]*)
-    | (?P<bad>.)
     """,
     re.VERBOSE,
 )
@@ -56,26 +55,25 @@ _INSIDE = set("|+-*") | {"ws", "rel", "num", "name"}
 # how an error names the token kind it expected; punctuation names itself
 _EXPECTED = {"name": "a name", "num": "a number", "rel": "a relation", "eof": "end of input"}
 
-# kind is name, word, num, rel, bad, eof, or the punctuation itself
+# kind is name, word, num, rel, eof, or the punctuation itself
 _Token = namedtuple("_Token", "kind value line column")
 
 
 def _tokens(text: str, bars: bool) -> list[_Token]:
-    """The tokens of a program, or with bars unset of a constraint. Outside
-    the bars a character that no token there takes is an error at once, as
-    is a bar that no later bar closes; between them it is a bad token."""
+    """The tokens of a program, or with bars unset of a constraint. A
+    character that no token on its side of the bars takes is an error at
+    once, as is a bar that no later bar closes, so the first such character
+    in the text is the one reported."""
     tokens = []
     inside = not bars
     line, line_start, pos = 1, 0, 0
     while pos < len(text):
         m = _TOKEN.match(text, pos)
-        kind, value = m.lastgroup, m.group()
-        kind = value if kind == "punct" else kind
+        kind = m and (m.group() if m.lastgroup == "punct" else m.lastgroup)
         column = pos - line_start + 1
         if kind not in (_INSIDE if inside else _OUTSIDE) or (kind == "|" and not bars):
-            if not inside:
-                raise ParseError(f"unexpected character {value[0]!r}", line, column)
-            kind, value = "bad", value[0]
+            raise ParseError(f"unexpected character {text[pos]!r}", line, column)
+        value = m.group()
         if kind == "|":
             inside = not inside
             if inside and text.find("|", pos + 1) < 0:
@@ -128,14 +126,7 @@ class _Parser:
 
     def constraint(self, line: int, column: int, end: str) -> LinearConstraint:
         """The constraint whose text starts at the line and column given,
-        read up to a token of the end kind. Like the characters of the
-        program, those of the constraint are checked before its syntax."""
-        i = self.pos
-        while self.tokens[i].kind != end:
-            tok = self.tokens[i]
-            if tok.kind == "bad":
-                raise ParseError(f"unexpected character {tok.value!r}", tok.line, tok.column)
-            i += 1
+        read up to a token of the end kind."""
         coeffs: defaultdict[str, Fraction] = defaultdict(Fraction)
         while not coeffs or self.peek().kind in ("+", "-"):
             coeff = Fraction(self.sign())

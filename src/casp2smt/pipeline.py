@@ -19,14 +19,7 @@ from .formula import conj, to_clauses
 from .lincon import LexiconKind, LinearConstraint, negate
 from .program import AtomId, Program, is_input_answer_set, is_tight
 from .ranking import build_ranking_formula
-from .smtlib import (
-    Status,
-    block_model,
-    box_assert,
-    decode,
-    emit_script,
-    run_solver,
-)
+from .smtlib import SmtScript, Status, block_model, decode, emit_script, run_solver
 
 SOLVER_ENV_VAR = "CASP2SMT_SOLVER"
 
@@ -164,27 +157,19 @@ def _ordered(p: Program, x: AbstractSet[AtomId]) -> Tuple[AtomId, ...]:
     return tuple(a for a in p.atoms if a in x)
 
 
-def _encode(p: Program, cfg: SolveConfig, use_ranking: bool):
+def _encode(p: Program, cfg: SolveConfig, use_ranking: bool) -> SmtScript:
     sigma_i = p.irregular_atoms
     formula = input_completion(p, sigma_i)
-    rank_vars: AbstractSet[str] = frozenset()
+    bounds = {}
+    if cfg.var_box is not None:
+        variables = {v for a in sigma_i for v in a.constraint.variables}
+        bounds = dict.fromkeys(sorted(variables), cfg.var_box)
     if use_ranking:
         ranking = build_ranking_formula(p, sigma_i, full=cfg.ranking_full)
         formula = conj([formula, ranking.formula])
-        rank_vars = ranking.rank_vars
-    script = emit_script(to_clauses(formula, (a.name for a in p.atoms)), cfg.logic)
-    extra: list[str] = []
-    # the program's variables are all the script's but the rank variables
-    program_symbols = [s for v, s in sorted(script.var_symbols) if v not in rank_vars]
-    if cfg.var_box is not None:
-        lo, hi = cfg.var_box
-        int_sort = cfg.logic is LexiconKind.INTEGER_LINEAR
-        extra += [box_assert(v, lo, hi, int_sort) for v in program_symbols]
-    if cfg.bound_ranks:
-        extra += [box_assert(s, 0, len(p.atoms)) for v, s in script.var_symbols if v in rank_vars]
-    if extra:
-        script = script.with_asserts(extra)
-    return script, program_symbols
+        if cfg.bound_ranks:
+            bounds.update(dict.fromkeys(sorted(ranking.rank_vars), (0, len(p.atoms))))
+    return emit_script(to_clauses(formula, (a.name for a in p.atoms)), cfg.logic, bounds)
 
 
 def _solve_oracle(p: Program, cfg: SolveConfig) -> Iterator[AnswerResult]:
@@ -199,9 +184,7 @@ def _solve_oracle(p: Program, cfg: SolveConfig) -> Iterator[AnswerResult]:
             yield AnswerResult(_ordered(p, x), s if cfg.extended else None)
 
 
-def _solve_smt(
-    p: Program, cfg: SolveConfig, script, program_symbols
-) -> Iterator[Optional[AnswerResult]]:
+def _solve_smt(p: Program, cfg: SolveConfig, script: SmtScript) -> Iterator[Optional[AnswerResult]]:
     """Answers through the external solver, one call per answer, each
     blocked before the next call. A call that ends in UNKNOWN (a solver
     'unknown' or a timeout) yields None and ends the enumeration."""
@@ -212,8 +195,7 @@ def _solve_smt(
             f"{SOLVER_ENV_VAR}, or use --oracle"
         )
     program_atoms, scope = set(p.atoms), p.irregular_atoms
-    atom_scope = [symbol for a, symbol in script.atom_symbols if a in program_atoms]
-    value_scope = program_symbols if cfg.extended and cfg.var_box is not None else ()
+    integer = cfg.logic is LexiconKind.INTEGER_LINEAR
     current = script
     while True:
         outcome = run_solver(current, cmd, cfg.timeout)
@@ -225,13 +207,17 @@ def _solve_smt(
         assert outcome.model is not None
         x, valuation = decode(outcome.model, current, program_atoms)
         # certified: an input answer set whose constraint atoms are true
-        # exactly when the model's values satisfy their constraints
-        if not is_input_answer_set(p, x, scope) or not all(
-            lincon.evaluate(c, valuation) for c in _induced_gcsp(scope, x)
+        # exactly when the model's values, integers over QF_LIA, satisfy
+        # their constraints
+        if (
+            not is_input_answer_set(p, x, scope)
+            or (integer and any(n.denominator != 1 for n in valuation.values()))
+            or not all(lincon.evaluate(c, valuation) for c in _induced_gcsp(scope, x))
         ):
             raise SolverProtocolError(f"the solver's model is no answer set: {sorted(x)}")
         yield AnswerResult(_ordered(p, x), valuation if cfg.extended else None)
-        current = block_model(current, outcome.model, atom_scope, value_scope)
+        blocked_values = valuation if cfg.extended and cfg.var_box is not None else {}
+        current = block_model(current, program_atoms, x, blocked_values)
 
 
 def solve(p: Program, cfg: Optional[SolveConfig] = None) -> SolveReport:
@@ -254,15 +240,15 @@ def solve(p: Program, cfg: Optional[SolveConfig] = None) -> SolveReport:
     use_ranking = cfg.mode is Mode.FORCE_RANKING or (
         cfg.mode is Mode.AUTO and not tight
     )
-    script = program_symbols = None
+    script = None
     if cfg.emit_path is not None or not cfg.oracle_only:
-        script, program_symbols = _encode(p, cfg, use_ranking)
+        script = _encode(p, cfg, use_ranking)
     if cfg.emit_path is not None:
         Path(cfg.emit_path).write_text(script.text, encoding="utf-8")
     if cfg.oracle_only:
         answers = _solve_oracle(p, cfg)
     else:
-        answers = _solve_smt(p, cfg, script, program_symbols)
+        answers = _solve_smt(p, cfg, script)
     results = list(itertools.islice(answers, cfg.enumerate or None))
     cut_short = bool(results) and results[-1] is None
     if cut_short:

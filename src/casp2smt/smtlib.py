@@ -11,9 +11,9 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Mapping, Optional, Sequence, Tuple, Union
+from typing import AbstractSet, Iterable, Mapping, Optional, Sequence, Tuple, Union
 
-from .errors import SolverProtocolError, SolverSpawnFailure, UnknownSymbol
+from .errors import SolverProtocolError, SolverSpawnFailure
 from .formula import ClauseSet, unique_name
 from .lincon import LexiconKind, LinearConstraint, Rel
 from .program import AtomId
@@ -92,12 +92,6 @@ def render_theory_atom(c: LinearConstraint, int_sort: bool, symbols: Mapping[str
     return f"({op} {lhs} {rhs})"
 
 
-def box_assert(var: str, lo: int, hi: int, int_sort: bool = True) -> str:
-    lo_text = render_number(lo, int_sort)
-    hi_text = render_number(hi, int_sort)
-    return f"(assert (and (<= {lo_text} {var}) (<= {var} {hi_text})))"
-
-
 @dataclass(frozen=True)
 class SmtScript:
     """Deterministic SMT-LIB 2 script: sorted declarations, bridge assertions
@@ -111,14 +105,6 @@ class SmtScript:
     var_symbols: Tuple[Tuple[str, str], ...] = ()
 
     @property
-    def bool_symbols(self) -> Tuple[str, ...]:
-        return tuple(map(itemgetter(1), self.atom_symbols))
-
-    @property
-    def num_symbols(self) -> Tuple[str, ...]:
-        return tuple(map(itemgetter(1), self.var_symbols))
-
-    @property
     def num_sort(self) -> str:
         return "Int" if self.logic == "QF_LIA" else "Real"
 
@@ -130,15 +116,18 @@ class SmtScript:
         lines += self.asserts
         return "\n".join(lines) + "\n"
 
-    def with_asserts(self, extra: Iterable[str]) -> "SmtScript":
-        return replace(self, asserts=self.asserts + tuple(extra))
 
-
-def emit_script(clauses: ClauseSet, kind: LexiconKind) -> SmtScript:
+def emit_script(
+    clauses: ClauseSet,
+    kind: LexiconKind,
+    bounds: Mapping[str, Tuple[int, int]] = {},
+) -> SmtScript:
     """Booleans for the clause atoms, numeric symbols for the constraint
     variables, and one biconditional bridge per occurring constraint atom,
     to the constraint the atom carries. The bridge pins both polarities, so
     a false constraint atom really does assert the complement constraint.
+    Last come the bounds, ``lo <= v <= hi`` for each variable in their
+    order; a variable the clauses do not mention has no symbol to bound.
 
     A variable keeps its name unless it is an SMT-LIB word, which gets a
     suffix that no other variable has; the atoms avoid every numeric symbol."""
@@ -155,9 +144,15 @@ def emit_script(clauses: ClauseSet, kind: LexiconKind) -> SmtScript:
         for a in irregular
     ]
     clause_asserts = [_clause_assert(clause, table) for clause in clauses.clauses]
+    boxes = [
+        f"(assert (and (<= {render_number(lo, int_sort)} {nums[v]}) "
+        f"(<= {nums[v]} {render_number(hi, int_sort)})))"
+        for v, (lo, hi) in bounds.items()
+        if v in nums
+    ]
     return SmtScript(
         logic=logic,
-        asserts=tuple(bridged + clause_asserts),
+        asserts=tuple(bridged + clause_asserts + boxes),
         atom_symbols=tuple(sorted(table.items(), key=itemgetter(1))),
         var_symbols=tuple(sorted(nums.items(), key=itemgetter(1))),
     )
@@ -330,42 +325,30 @@ def run_solver(
         return SolverResult(Status.UNSAT)
     if answer == "unknown":
         return SolverResult(Status.UNKNOWN)
-    model = parse_model("\n".join(rest))
-    for symbol in s.bool_symbols:
-        model.bools.setdefault(symbol, False)
-    for symbol in s.num_symbols:
-        model.nums.setdefault(symbol, Fraction(0))
-    return SolverResult(Status.SAT, model)
+    return SolverResult(Status.SAT, parse_model("\n".join(rest)))
 
 
 def block_model(
     s: SmtScript,
-    m: SmtModel,
-    scope: Iterable[str],
-    num_scope: Iterable[str] = (),
+    scope: AbstractSet[AtomId],
+    x: AbstractSet[AtomId],
+    values: Mapping[str, Fraction] = {},
 ) -> SmtScript:
-    """Add one assertion excluding the model's assignment over the scope.
-    An empty scope blocks everything, ending enumeration."""
-    lits = []
-    scope, num_scope = set(scope), set(num_scope)
-    # checked against the tables directly: a projection would copy every symbol
-    undeclared = scope.difference(map(itemgetter(1), s.atom_symbols))
-    if undeclared:
-        raise UnknownSymbol(f"{min(undeclared)} is not a declared boolean")
-    undeclared = num_scope.difference(map(itemgetter(1), s.var_symbols))
-    if undeclared:
-        raise UnknownSymbol(f"{min(undeclared)} is not a declared numeric symbol")
-    for symbol in sorted(scope):
-        lits.append(symbol if m.bools.get(symbol, False) else f"(not {symbol})")
+    """Add one assertion excluding the answer x over the scope's atoms and,
+    for the variables that ``values`` names, their values. An empty scope
+    blocks everything, ending enumeration."""
+    lits = [symbol if a in x else f"(not {symbol})" for a, symbol in s.atom_symbols if a in scope]
     int_sort = s.num_sort == "Int"
-    for symbol in sorted(num_scope):
-        value = render_number(m.nums.get(symbol, Fraction(0)), int_sort)
-        lits.append(f"(= {symbol} {value})")
+    for name, symbol in s.var_symbols:
+        if name in values:
+            lits.append(f"(= {symbol} {render_number(values[name], int_sort)})")
     if not lits:
-        return s.with_asserts(["(assert false)"])
-    if len(lits) == 1:
-        return s.with_asserts([f"(assert (not {lits[0]}))"])
-    return s.with_asserts([f"(assert (not (and {' '.join(lits)})))"])
+        blocking = "(assert false)"
+    elif len(lits) == 1:
+        blocking = f"(assert (not {lits[0]}))"
+    else:
+        blocking = f"(assert (not (and {' '.join(lits)})))"
+    return replace(s, asserts=s.asserts + (blocking,))
 
 
 def decode(
@@ -374,7 +357,7 @@ def decode(
     """Project a solver model of the script back onto the vocabulary's atoms
     and the variables of its constraints, each under its own name, through
     the script's symbol tables; definitional atoms and rank variables are
-    dropped."""
+    dropped. A symbol the model leaves out is false or 0."""
     wanted = set(vocab)
     x = frozenset(
         a

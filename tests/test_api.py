@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -41,7 +42,9 @@ REMOVED = {
     # the parser reads constraints too, and the lexer alone keeps program
     # names apart from generated ones
     "casp2smt.lincon": ["parse_constraint"],
-    "casp2smt.errors": ["PartialRanking", "NotAModel", "ReservedPrefix"],
+    "casp2smt.errors": ["PartialRanking", "NotAModel", "ReservedPrefix", "UnknownSymbol"],
+    # the encoder bounds variables by name; only smtlib spells them as symbols
+    "casp2smt.smtlib": ["box_assert"],
 }
 
 
@@ -87,3 +90,15 @@ def test_every_public_definition_runs_in_the_package_or_is_exported():
         if name not in named and name not in casp2smt.__all__
     )
     assert unused == []
+
+
+def test_only_smtlib_names_the_symbol_tables():
+    """Atoms and variables are spelled as SMT symbols in one module: the
+    rest of the package bounds variables and blocks answers by name."""
+    package = Path(casp2smt.__file__).parent
+    naming = sorted(
+        path.name
+        for path in package.glob("*.py")
+        if re.search(r"\b(atom_symbols|var_symbols)\b", path.read_text(encoding="utf-8"))
+    )
+    assert naming == ["smtlib.py"]

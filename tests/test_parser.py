@@ -107,6 +107,8 @@ class TestParseErrors:
             ("a.\n:- |x < 1.", 2, 4),
             ("a :- |x - x >= 1|.", 1, 7),
             (":- |x\n  < y|.", 2, 5),
+            # the first bad character in the text, before the bar that closes
+            (":- |x < 1.\n:- |y > 2|.", 1, 10),
         ],
     )
     def test_error_in_a_constraint_has_its_program_position(self, text, line, column):

@@ -313,6 +313,13 @@ class TestPartialEnumeration:
         assert capsys.readouterr().out == "Answer 1: a\nUNKNOWN\n"
 
 
+# a model of "a :- |x > 0|. :- not a." but for x, which is no integer
+HALF = (
+    "(model (define-fun a () Bool true) (define-fun b__x_gt_0 () Bool true)"
+    " (define-fun x () Int (/ 1 2)))"
+)
+
+
 class TestMalformedSolverOutput:
     @pytest.mark.parametrize(
         "model",
@@ -322,17 +329,34 @@ class TestMalformedSolverOutput:
             "",
             '(error "model generation not enabled")',
             "()",
+            HALF,
         ],
-        ids=["division-by-zero", "deep-nesting", "no-model", "error-form", "empty-model"],
+        ids=["division-by-zero", "deep-nesting", "no-model", "error-form", "empty-model", "half"],
     )
     def test_cli_exits_with_the_solver_error_code(self, tmp_path, capsys, model):
-        solver = tmp_path / "bad_solver.py"
-        solver.write_text(f"import sys\nsys.stdin.read()\nprint('sat')\nprint({model!r})\n")
-        program = tmp_path / "p.lp"
-        program.write_text("a :- |x > 0|.\n:- not a.\n")
-        code = cli.main([str(program), "--solver", f"{sys.executable} {solver}"])
+        code = cli.main([self.program(tmp_path), "--solver", self.solver(tmp_path, model)])
         assert code == cli.EXIT_SOLVER_ERROR
         assert capsys.readouterr().err.startswith("casp2smt: solver error: ")
+
+    def test_non_integer_value_in_an_extended_enumeration(self, tmp_path, capsys):
+        """Blocking the answer would render the value as an integer."""
+        model = HALF.replace("(/ 1 2)", "1.5")
+        args = ["--extended", "--var-box", "0", "5", "--enumerate", "0"]
+        code = cli.main([self.program(tmp_path), "--solver", self.solver(tmp_path, model), *args])
+        assert code == cli.EXIT_SOLVER_ERROR
+        assert capsys.readouterr().err.startswith("casp2smt: solver error: ")
+
+    @staticmethod
+    def program(directory) -> str:
+        program = directory / "p.lp"
+        program.write_text("a :- |x > 0|.\n:- not a.\n")
+        return str(program)
+
+    @staticmethod
+    def solver(directory, model: str) -> str:
+        solver = directory / "bad_solver.py"
+        solver.write_text(f"import sys\nsys.stdin.read()\nprint('sat')\nprint({model!r})\n")
+        return f"{sys.executable} {solver}"
 
 
 class TestOracleCap:

@@ -5,13 +5,17 @@ PI1 and for a reachability ring with chords: over QF_LIA by mode and ranking
 variant, and over QF_LRA, under a variable box and with bounded rank
 variables. A third, non-tight program pins multivariate constraints over
 QF_LIA and QF_LRA, and one digest covers the scripts of random programs in
-every configuration. A change that sets out to alter the encoding updates
-these pins and says so; any other change must leave them untouched.
+every configuration. A last digest covers every script the solver is sent
+while a stand-in answers with the oracle's answers, blocking assertions
+included. A change that sets out to alter the encoding updates these pins
+and says so; any other change must leave them untouched.
 """
 
 import hashlib
 import random
 import sys
+from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
@@ -19,7 +23,7 @@ from casp2smt import pipeline
 from casp2smt.lincon import LexiconKind
 from casp2smt.parser import parse_program, render_program
 from casp2smt.pipeline import Mode, SolveConfig, solve
-from casp2smt.smtlib import SolverResult, Status
+from casp2smt.smtlib import SmtModel, SolverResult, Status
 
 from .conftest import PI1
 from .randprog import random_cas_program
@@ -167,3 +171,59 @@ def test_random_program_sweep_is_pinned(monkeypatch):
     assert len(scripts) == 1280
     digest = hashlib.sha256("".join(scripts).encode()).hexdigest()
     assert digest == SWEEP_PIN
+
+
+# one digest over the 916 scripts of 40 random programs in three
+# configurations, each call answered with the oracle's next answer
+STREAM_PIN = (916, "8cd3631b45053a5f883e4cb76ee95c1147985fbf2e8c7729bb1ac6e954ff469c")
+
+STREAM_CONFIGS = [
+    dict(var_box=(-4, 4)),
+    dict(extended=True, var_box=(-2, 2)),
+    dict(logic=LexiconKind.REAL_LINEAR, mode=Mode.FORCE_RANKING, bound_ranks=True),
+]
+
+
+def oracle_replay(p, cfg: SolveConfig):
+    """The oracle's answers to ``p`` under ``cfg``, and a stand-in for
+    ``run_solver`` that returns them in order as models, then UNSAT. An
+    answer without a valuation takes the oracle's witness for its atoms."""
+    oracle = solve(p, replace(cfg, oracle_only=True, solver_cmd=None))
+    answers = []
+    for r in oracle.results:
+        values = r.valuation
+        if values is None:
+            gcsp = pipeline._induced_gcsp(p.irregular_atoms, r.atom_set)
+            values = pipeline._solutions(gcsp, cfg.logic, cfg.var_box)[0]
+        answers.append((r.atom_set, values))
+    scripts: list[str] = []
+
+    def stand_in(script, cmd, timeout):
+        scripts.append(script.text)
+        if len(scripts) > len(answers):
+            return SolverResult(Status.UNSAT)
+        x, values = answers[len(scripts) - 1]
+        bools = {s: a in x for a, s in script.atom_symbols}
+        nums = {s: Fraction(values.get(v, 0)) for v, s in script.var_symbols}
+        return SolverResult(Status.SAT, SmtModel(bools, nums))
+
+    return oracle, stand_in, scripts
+
+
+def test_solver_call_stream_is_pinned(monkeypatch):
+    rng = random.Random(14)
+    programs = [parse_program(render_program(random_cas_program(rng))) for _ in range(40)]
+    streamed: list[str] = []
+    for p in programs:
+        for config in STREAM_CONFIGS:
+            cfg = SolveConfig(solver_cmd="unused", enumerate=0, **config)
+            oracle, stand_in, scripts = oracle_replay(p, cfg)
+            monkeypatch.setattr(pipeline, "run_solver", stand_in)
+            smt = solve(p, cfg)
+            assert [(r.atoms, r.valuation) for r in smt.results] == [
+                (r.atoms, r.valuation) for r in oracle.results
+            ]
+            assert smt.status is oracle.status
+            streamed += scripts
+    digest = hashlib.sha256("".join(streamed).encode()).hexdigest()
+    assert (len(streamed), digest) == STREAM_PIN

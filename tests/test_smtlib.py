@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from casp2smt.completion import input_completion
-from casp2smt.errors import SolverProtocolError, SolverSpawnFailure, UnknownSymbol
+from casp2smt.errors import SolverProtocolError, SolverSpawnFailure
 from casp2smt.formula import ClauseSet, conj, to_clauses
 from casp2smt.lincon import LexiconKind
 from casp2smt.parser import parse_program
@@ -83,6 +83,14 @@ class TestEmit:
         _, _, first = pi1_script(pi1_text)
         _, _, second = pi1_script(pi1_text)
         assert first.text == second.text
+
+    def test_bounds_follow_the_clauses_for_declared_variables(self, pi1_text):
+        p = parse_program(pi1_text)
+        clauses = to_clauses(input_completion(p, p.irregular_atoms))
+        script = emit_script(clauses, REAL, {"y": (0, 1), "x": (-1, 23)})
+        assert script.asserts[-1] == "(assert (and (<= (- 1) x) (<= x 23)))"
+        assert script.asserts[:-1] == emit_script(clauses, REAL).asserts
+        assert "y" not in script.text
 
     def test_real_logic_and_sorts(self, pi1_text):
         p = parse_program(pi1_text)
@@ -158,36 +166,24 @@ def colliding_script():
 class TestBlockModel:
     def test_blocking_assertion(self):
         script = SmtScript(logic="QF_LIA", atom_symbols=((atom("a"), "a"), (atom("b"), "b")))
-        m = SmtModel({"a": True, "b": False}, {})
-        blocked = block_model(script, m, ["a", "b"])
+        blocked = block_model(script, {atom("a"), atom("b")}, {atom("a")})
         assert blocked.asserts[-1] == "(assert (not (and a (not b))))"
 
     def test_empty_scope_blocks_everything(self):
         script = SmtScript(logic="QF_LIA")
-        blocked = block_model(script, SmtModel({}, {}), [])
+        blocked = block_model(script, set(), set())
         assert blocked.asserts[-1] == "(assert false)"
-
-    def test_unknown_symbol(self):
-        script = SmtScript(logic="QF_LIA", atom_symbols=((atom("a"), "a"),))
-        with pytest.raises(UnknownSymbol):
-            block_model(script, SmtModel({}, {}), ["zzz"])
 
     def test_symbol_collision_scope(self):
         p, _, script = colliding_script()
-        scope = [sym for a, sym in script.atom_symbols if a in set(p.atoms)]
-        assert "b__x_ge_1" in scope and "b__x_ge_1_1" in scope
-        m = SmtModel({"b__x_ge_1": True, "b__x_ge_1_1": False, "ok": True}, {})
-        blocked = block_model(script, m, scope)
+        scope = set(p.atoms)
+        assert {"b__x_ge_1", "b__x_ge_1_1"} <= {sym for a, sym in script.atom_symbols if a in scope}
+        blocked = block_model(script, scope, {atom("b__x_ge_1"), atom("ok")})
         assert blocked.asserts[-1] == "(assert (not (and b__x_ge_1 (not b__x_ge_1_1) ok)))"
-        with pytest.raises(UnknownSymbol):
-            block_model(script, m, scope + ["b__x_ge_1_2"])
-        with pytest.raises(UnknownSymbol):
-            block_model(script, m, scope, ["b__x_ge_1"])
 
     def test_numeric_scope(self):
         script = SmtScript(logic="QF_LIA", atom_symbols=((atom("a"), "a"),), var_symbols=(("x", "x"),))
-        m = SmtModel({"a": True}, {"x": Fraction(-7)})
-        blocked = block_model(script, m, ["a"], ["x"])
+        blocked = block_model(script, {atom("a")}, {atom("a")}, {"x": Fraction(-7)})
         assert blocked.asserts[-1] == "(assert (not (and a (= x (- 7)))))"
 
 
@@ -198,8 +194,9 @@ class TestDecode:
         assert dict(script.atom_symbols) == table
         assert table[atom("b__x_ge_1")] == "b__x_ge_1"
         assert table[atom("|x>=1|")] == "b__x_ge_1_1"
-        for bits in itertools.product((False, True), repeat=len(script.bool_symbols)):
-            m = SmtModel(dict(zip(script.bool_symbols, bits)), {"x": Fraction(1)})
+        symbols = [sym for _, sym in script.atom_symbols]
+        for bits in itertools.product((False, True), repeat=len(symbols)):
+            m = SmtModel(dict(zip(symbols, bits)), {"x": Fraction(1)})
             x, _ = decode(m, script, p.atoms)
             assert x == {a for a, sym in table.items() if a in set(p.atoms) and m.bools[sym]}
 
@@ -208,9 +205,9 @@ class TestDecode:
         iota = p.irregular_atoms
         clauses = to_clauses(conj([input_completion(p, iota), build_ranking_formula(p, iota).formula]))
         script = emit_script(clauses, INT)
-        assert "__lr_lightOn" in script.num_symbols
+        assert ("__lr_lightOn", "__lr_lightOn") in script.var_symbols
         m = SmtModel(
-            {s: False for s in script.bool_symbols},
+            {s: False for _, s in script.atom_symbols},
             {"x": Fraction(12), "__lr_lightOn": Fraction(3)},
         )
         m.bools["switch"] = True
@@ -326,12 +323,9 @@ class TestBridgeFaithfulness:
                 continue
             checked += 1
             clauses = to_clauses(input_completion(p, p.irregular_atoms))
-            script = emit_script(clauses, INT)
-            for v in {v for x in p.irregular_atoms for v in x.constraint.variables}:
-                script = script.with_asserts(
-                    [f"(assert (and (<= (- 8) {v}) (<= {v} 8)))"]
-                )
-            scope = [s for at, s in script.atom_symbols if at in set(p.atoms)]
+            variables = {v for x in p.irregular_atoms for v in x.constraint.variables}
+            script = emit_script(clauses, INT, dict.fromkeys(sorted(variables), (-8, 8)))
+            scope = set(p.atoms)
             seen = []
             current = script
             while True:
@@ -340,7 +334,7 @@ class TestBridgeFaithfulness:
                     break
                 x, _ = decode(result.model, current, p.atoms)
                 seen.append(x)
-                current = block_model(current, result.model, scope)
+                current = block_model(current, scope, x)
             expected = constraint_models(
                 input_completion(p, p.irregular_atoms),
                 p.atoms,
