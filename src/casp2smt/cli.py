@@ -14,6 +14,12 @@ exit codes:
   13  any other error, such as a program file that cannot be read or is
       not UTF-8, an --emit-smtlib file that cannot be written, or more
       atoms than the oracle enumerates
+
+solver: --solver starts one process per enumeration and writes it the script,
+then one blocking assertion per further answer, each followed by (check-sat)
+and (get-model); it must answer each command as it arrives, as z3 -in does. A
+command with a {file} placeholder runs once per check on a temp file instead.
+Each check may take 60 s; one that runs out is UNKNOWN.
 """
 
 from __future__ import annotations
@@ -72,8 +78,10 @@ def build_arg_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--solver",
         metavar="CMD",
-        help="external SMT solver command reading SMT-LIB 2 on stdin "
-        "(or use a {file} placeholder); falls back to $CASP2SMT_SOLVER",
+        help="external SMT solver command, one process per enumeration, reading "
+        "SMT-LIB 2 on stdin and answering each command as it arrives, as z3 -in "
+        "does; or with a {file} placeholder, one process per check on a temp file "
+        "(see below); falls back to $CASP2SMT_SOLVER",
     )
     parser.add_argument(
         "--oracle",

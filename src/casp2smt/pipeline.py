@@ -3,6 +3,7 @@ decode, and render results."""
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import itertools
 import json
@@ -19,7 +20,7 @@ from .formula import conj, to_clauses
 from .lincon import LexiconKind, LinearConstraint, negate
 from .program import AtomId, Program, is_input_answer_set, is_tight
 from .ranking import build_ranking_formula
-from .smtlib import SmtScript, Status, block_model, decode, emit_script, run_solver
+from .smtlib import SmtScript, SolverSession, Status, block_model, decode, emit_script, run_solver
 
 SOLVER_ENV_VAR = "CASP2SMT_SOLVER"
 
@@ -185,8 +186,8 @@ def _solve_oracle(p: Program, cfg: SolveConfig) -> Iterator[AnswerResult]:
 
 
 def _solve_smt(p: Program, cfg: SolveConfig, script: SmtScript) -> Iterator[Optional[AnswerResult]]:
-    """Answers through the external solver, one call per answer, each
-    blocked before the next call. A call that ends in UNKNOWN (a solver
+    """Answers through one solver session, one check per answer, each
+    blocked before the next check. A check that ends in UNKNOWN (a solver
     'unknown' or a timeout) yields None and ends the enumeration."""
     cmd = cfg.solver_cmd or os.environ.get(SOLVER_ENV_VAR)
     if not cmd:
@@ -197,27 +198,28 @@ def _solve_smt(p: Program, cfg: SolveConfig, script: SmtScript) -> Iterator[Opti
     program_atoms, scope = set(p.atoms), p.irregular_atoms
     integer = cfg.logic is LexiconKind.INTEGER_LINEAR
     current = script
-    while True:
-        outcome = run_solver(current, cmd, cfg.timeout)
-        if outcome.status is Status.UNSAT:
-            return
-        if outcome.status is Status.UNKNOWN:
-            yield None
-            return
-        assert outcome.model is not None
-        x, valuation = decode(outcome.model, current, program_atoms)
-        # certified: an input answer set whose constraint atoms are true
-        # exactly when the model's values, integers over QF_LIA, satisfy
-        # their constraints
-        if (
-            not is_input_answer_set(p, x, scope)
-            or (integer and any(n.denominator != 1 for n in valuation.values()))
-            or not all(lincon.evaluate(c, valuation) for c in _induced_gcsp(scope, x))
-        ):
-            raise SolverProtocolError(f"the solver's model is no answer set: {sorted(x)}")
-        yield AnswerResult(_ordered(p, x), valuation if cfg.extended else None)
-        blocked_values = valuation if cfg.extended and cfg.var_box is not None else {}
-        current = block_model(current, program_atoms, x, blocked_values)
+    with SolverSession(cmd, cfg.enumerate or None) as session:
+        while True:
+            outcome = run_solver(current, session, cfg.timeout)
+            if outcome.status is Status.UNSAT:
+                return
+            if outcome.status is Status.UNKNOWN:
+                yield None
+                return
+            assert outcome.model is not None
+            x, valuation = decode(outcome.model, current, program_atoms)
+            # certified: an input answer set whose constraint atoms are true
+            # exactly when the model's values, integers over QF_LIA, satisfy
+            # their constraints
+            if (
+                not is_input_answer_set(p, x, scope)
+                or (integer and any(n.denominator != 1 for n in valuation.values()))
+                or not all(lincon.evaluate(c, valuation) for c in _induced_gcsp(scope, x))
+            ):
+                raise SolverProtocolError(f"the solver's model is no answer set: {sorted(x)}")
+            yield AnswerResult(_ordered(p, x), valuation if cfg.extended else None)
+            blocked_values = valuation if cfg.extended and cfg.var_box is not None else {}
+            current = block_model(current, program_atoms, x, blocked_values)
 
 
 def solve(p: Program, cfg: Optional[SolveConfig] = None) -> SolveReport:
@@ -249,7 +251,8 @@ def solve(p: Program, cfg: Optional[SolveConfig] = None) -> SolveReport:
         answers = _solve_oracle(p, cfg)
     else:
         answers = _solve_smt(p, cfg, script)
-    results = list(itertools.islice(answers, cfg.enumerate or None))
+    with contextlib.closing(answers):  # ends the solver however the loop ends
+        results = list(itertools.islice(answers, cfg.enumerate or None))
     cut_short = bool(results) and results[-1] is None
     if cut_short:
         results.pop()

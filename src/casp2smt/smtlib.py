@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import codecs
 import enum
+import os
 import re
+import selectors
 import shlex
 import subprocess
 import tempfile
+import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from operator import itemgetter
@@ -263,69 +267,155 @@ def parse_model(text: str) -> SmtModel:
     return model
 
 
-def run_solver(
-    s: SmtScript,
-    cmd: Union[str, Sequence[str]],
-    timeout: float = 60.0,
-) -> SolverResult:
-    """Feed the script plus (check-sat)(get-model) to an external process.
+def parse_reply(text: str, eof: bool) -> Optional[Tuple[SolverResult, int]]:
+    """The solver's reply to one ``(check-sat)(get-model)`` at the start of
+    the output text, and the length it takes: the first non-blank line, and
+    after ``sat`` the model up to its balanced end. None while the reply is
+    incomplete; at the end of output (``eof``) None means no answer came."""
+    text += "\n" if eof else ""
+    start = len(text) - len(text.lstrip())
+    end = text.find("\n", start)
+    if end < 0:
+        return None
+    answer = text[start:end].strip()
+    if answer not in ("sat", "unsat", "unknown"):
+        raise SolverProtocolError(f"unrecognized solver output: {answer[:200]!r}")
+    if answer != "sat":
+        return SolverResult(Status(answer)), end + 1
+    depth = 0
+    for paren in re.finditer(r"[()]", text[end + 1 :]):
+        depth += 1 if paren.group() == "(" else -1
+        if depth <= 0:
+            model = text[end + 1 : end + 1 + paren.end()]
+            return SolverResult(Status.SAT, parse_model(model)), end + 1 + paren.end()
+    return (SolverResult(Status.SAT, parse_model(text[end + 1 :])), len(text)) if eof else None
 
-    The command receives the script on stdin; a ``{file}`` placeholder in the
-    command switches to a temp-file argument instead. Timeouts and solver
-    'unknown' answers both map to UNKNOWN.
-    """
-    payload = s.text + "(check-sat)\n(get-model)\n"
-    argv = shlex.split(cmd) if isinstance(cmd, str) else list(cmd)
-    tmp: Optional[str] = None
-    try:
-        if any("{file}" in part for part in argv):
-            with tempfile.NamedTemporaryFile(
-                "w", suffix=".smt2", delete=False
-            ) as handle:
-                handle.write(payload)
-                tmp = handle.name
-            argv = [part.replace("{file}", tmp) for part in argv]
-            stdin_text = None
+
+class SolverSession:
+    """One solver process for the checks of an enumeration: the first check
+    sends the script, each later one the assertions added since, both then
+    ``(check-sat)(get-model)``. A solver reading stdin must answer each
+    command as it arrives, as ``z3 -in`` does; its stdin closes after the
+    last check that ``checks`` allows, so one that reads to the end of input
+    serves a session of one check. A ``{file}`` command runs once per check
+    instead, on the whole script in a temp file, with an empty stdin. The
+    timeout applies to each check: when it passes, the solver is killed and
+    the check is UNKNOWN. Closing always kills and reaps the solver."""
+
+    def __init__(self, cmd: Union[str, Sequence[str]], checks: Optional[int] = None):
+        self.argv = shlex.split(cmd) if isinstance(cmd, str) else list(cmd)
+        self.checks = checks
+        self.sent: Optional[SmtScript] = None
+        self.proc: Optional[subprocess.Popen] = None
+
+    def __enter__(self) -> "SolverSession":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def check(self, s: SmtScript, timeout: float) -> SolverResult:
+        """Send what the solver lacks of the script, which must extend the
+        one sent before (:class:`ValueError` otherwise), and read its reply."""
+        commands = "(check-sat)\n(get-model)\n"
+        if any("{file}" in part for part in self.argv):
+            with tempfile.TemporaryDirectory() as tmp:
+                path = Path(tmp) / "script.smt2"
+                path.write_text(s.text + commands, encoding="utf-8")
+                argv = [part.replace("{file}", str(path)) for part in self.argv]
+                self._start(argv, subprocess.DEVNULL)
+                try:
+                    return self._reply(memoryview(b""), timeout)
+                finally:
+                    self.close()
+        if self.sent is None:
+            self._start(self.argv, subprocess.PIPE)
+            os.set_blocking(self.proc.stdin.fileno(), False)
+            payload = s.text + commands
         else:
-            stdin_text = payload
+            n = len(self.sent.asserts)
+            if replace(s, asserts=s.asserts[:n]) != self.sent:
+                raise ValueError("the script does not extend the one sent to the solver")
+            payload = "".join(a + "\n" for a in s.asserts[n:]) + commands
+        self.sent, self.done = s, self.done + 1
+        return self._reply(memoryview(payload.encode()), timeout)
+
+    def _start(self, argv: list[str], stdin) -> None:
+        self.err = tempfile.TemporaryFile()
         try:
-            proc = subprocess.run(
-                argv,
-                input=stdin_text,
-                capture_output=True,
-                text=True,
-                timeout=timeout,
+            self.proc = subprocess.Popen(
+                argv, bufsize=0, stdin=stdin, stdout=subprocess.PIPE, stderr=self.err
             )
-        except subprocess.TimeoutExpired:
-            return SolverResult(Status.UNKNOWN)
         except OSError as exc:
+            self.err.close()
             raise SolverSpawnFailure(f"cannot run {argv[0]!r}: {exc}") from exc
-    finally:
-        if tmp is not None:
-            Path(tmp).unlink(missing_ok=True)
+        self.out, self.done = "", 0
+        self.decoder = codecs.getincrementaldecoder("utf-8")(errors="replace")
+        self.selector = selectors.DefaultSelector()
+        self.selector.register(self.proc.stdout, selectors.EVENT_READ)
 
-    answer = None
-    rest: list[str] = []
-    for line in proc.stdout.splitlines():
-        stripped = line.strip()
-        if answer is None:
-            if stripped in ("sat", "unsat", "unknown"):
-                answer = stripped
-            elif stripped:
-                raise SolverProtocolError(
-                    f"unrecognized solver output: {stripped[:200]!r}"
-                )
-        else:
-            rest.append(line)
-    if answer is None:
-        raise SolverProtocolError(
-            f"solver produced no answer (stderr: {proc.stderr[:200]!r})"
-        )
-    if answer == "unsat":
-        return SolverResult(Status.UNSAT)
-    if answer == "unknown":
-        return SolverResult(Status.UNKNOWN)
-    return SolverResult(Status.SAT, parse_model("\n".join(rest)))
+    def _reply(self, payload: memoryview, timeout: float) -> SolverResult:
+        """Write the whole payload and read the reply before the deadline."""
+        deadline = time.monotonic() + timeout
+        proc, eof, reply = self.proc, False, None
+        if payload:
+            self.selector.register(proc.stdin, selectors.EVENT_WRITE)
+        while not eof and (reply is None or payload):
+            remaining = deadline - time.monotonic()
+            events = self.selector.select(remaining) if remaining > 0 else []
+            if not events:
+                self.close()
+                return SolverResult(Status.UNKNOWN)
+            for key, _ in events:
+                if key.fileobj is proc.stdout:
+                    data = os.read(key.fd, 1 << 16)
+                    eof = not data
+                    self.out += self.decoder.decode(data, eof)
+                    continue
+                try:
+                    payload = payload[os.write(key.fd, payload) :]
+                except BrokenPipeError:  # the solver is gone; its output tells
+                    payload = payload[:0]
+                if not payload:
+                    self.selector.unregister(proc.stdin)
+                    if self.done == self.checks:
+                        proc.stdin.close()
+            reply = parse_reply(self.out, eof)
+        if payload:  # the solver ended before reading it all
+            self.selector.unregister(proc.stdin)
+        if reply is None:
+            proc.kill()
+            proc.wait()
+            self.err.seek(0)
+            stderr = self.err.read(200).decode(errors="replace")
+            raise SolverProtocolError(f"solver produced no answer (stderr: {stderr!r})")
+        result, used = reply
+        self.out = self.out[used:]
+        return result
+
+    def close(self) -> None:
+        """Kill and reap the solver; a later check starts a new one."""
+        if self.proc is not None:
+            proc, self.proc, self.sent = self.proc, None, None
+            with proc:
+                proc.kill()
+            self.selector.close()
+            self.err.close()
+
+
+def run_solver(
+    s: SmtScript, solver: Union[SolverSession, str, Sequence[str]], timeout: float = 60.0
+) -> SolverResult:
+    """One check of the script, on an open :class:`SolverSession` or on a
+    command, which runs as a session of one check. A solver reading stdin
+    must answer each command as it arrives, as ``z3 -in`` does; use a
+    ``{file}`` placeholder otherwise. The timeout applies to each check.
+    Timeouts and solver 'unknown' answers both map to UNKNOWN.
+    """
+    if isinstance(solver, SolverSession):
+        return solver.check(s, timeout)
+    with SolverSession(solver, checks=1) as session:
+        return session.check(s, timeout)
 
 
 def block_model(

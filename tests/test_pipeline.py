@@ -1,4 +1,5 @@
 import json
+import os
 import random
 import sys
 from dataclasses import replace
@@ -6,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from casp2smt import cli
+from casp2smt import cli, pipeline
 from casp2smt.errors import InconsistentConfig, NotTight
 from casp2smt.lincon import LexiconKind, LinearConstraint, LinExpr, Rel
 from casp2smt.parser import parse_program
@@ -22,6 +23,7 @@ from casp2smt.pipeline import (
     verify,
 )
 from casp2smt.program import ORACLE_CAP, Program, Rule, atom, constraint_atom
+from casp2smt.smtlib import block_model
 
 from .conftest import families
 from .randprog import random_cas_program
@@ -30,6 +32,8 @@ INT = LexiconKind.INTEGER_LINEAR
 REAL = LexiconKind.REAL_LINEAR
 
 NONTIGHT = "a :- b.\nb :- a.\n{c}.\na :- c.\n:- not a.\n"
+
+COMMANDS = "(check-sat)\n(get-model)\n"
 
 
 def result_families(report):
@@ -274,18 +278,22 @@ GENERATED_LOOKALIKES = _lookalikes()
 
 
 def stalling_solver(directory) -> str:
-    """A fake solver that answers its first call with a model where only
-    ``a`` holds, then sleeps past any short timeout on every later call."""
+    """A fake solver that answers its first check with a model where only
+    ``a`` holds, then sleeps past any short timeout on every later check.
+    It answers each ``(get-model)`` line as it reads it, from stdin or, with
+    a ``{file}`` argument appended, from the file, one process per check."""
     path = directory / "stalling_solver.py"
     path.write_text(
         "import pathlib, sys, time\n"
-        "sys.stdin.read()\n"
         f"mark = pathlib.Path({str(directory / 'called')!r})\n"
-        "if mark.exists():\n"
-        "    time.sleep(30)\n"
-        "mark.touch()\n"
-        "print('sat')\n"
-        "print('(model (define-fun a () Bool true))')\n"
+        "for line in open(sys.argv[1]) if sys.argv[1:] else sys.stdin:\n"
+        "    if line.strip() != '(get-model)':\n"
+        "        continue\n"
+        "    if mark.exists():\n"
+        "        time.sleep(30)\n"
+        "    mark.touch()\n"
+        "    print('sat')\n"
+        "    print('(model (define-fun a () Bool true))', flush=True)\n"
     )
     return f"{sys.executable} {path}"
 
@@ -296,8 +304,10 @@ CHOICES = "{a}.\n{b}.\n"
 class TestPartialEnumeration:
     """A timeout after some answers keeps them and reports UNKNOWN."""
 
+    solver = staticmethod(stalling_solver)
+
     def test_report_keeps_answers_and_is_unknown(self, tmp_path):
-        cmd = stalling_solver(tmp_path)
+        cmd = self.solver(tmp_path)
         report = solve(parse_program(CHOICES), SolveConfig(solver_cmd=cmd, enumerate=0, timeout=1.0))
         assert report.status is Status.UNKNOWN
         assert result_families(report) == {frozenset({"a"})}
@@ -308,9 +318,17 @@ class TestPartialEnumeration:
         monkeypatch.setattr(cli, "config_from_args", lambda args: replace(from_args(args), timeout=1.0))
         program = tmp_path / "choices.lp"
         program.write_text(CHOICES)
-        code = cli.main([str(program), "--solver", stalling_solver(tmp_path), "--enumerate", "0"])
+        code = cli.main([str(program), "--solver", self.solver(tmp_path), "--enumerate", "0"])
         assert code == cli.EXIT_UNKNOWN
         assert capsys.readouterr().out == "Answer 1: a\nUNKNOWN\n"
+
+
+class TestPartialEnumerationOverFile(TestPartialEnumeration):
+    """The same through a ``{file}`` command, one process per check."""
+
+    @staticmethod
+    def solver(directory) -> str:
+        return stalling_solver(directory) + " {file}"
 
 
 # a model of "a :- |x > 0|. :- not a." but for x, which is no integer
@@ -355,8 +373,154 @@ class TestMalformedSolverOutput:
     @staticmethod
     def solver(directory, model: str) -> str:
         solver = directory / "bad_solver.py"
-        solver.write_text(f"import sys\nsys.stdin.read()\nprint('sat')\nprint({model!r})\n")
+        solver.write_text(
+            "import sys\n"
+            "for line in sys.stdin:\n"
+            "    if line.strip() == '(get-model)':\n"
+            f"        print('sat')\n        print({model!r}, flush=True)\n"
+        )
         return f"{sys.executable} {solver}"
+
+
+def replying_solver(directory, replies) -> str:
+    """A fake interactive solver that writes its pid to ``pid`` and answers
+    the n-th ``(get-model)`` line with the n-th reply. With no reply left,
+    and at the end of its input, it sleeps, so only a kill ends it soon;
+    with ``replies`` None it exits before reading anything."""
+    path = directory / "replying_solver.py"
+    path.write_text(
+        "import os, pathlib, sys, time\n"
+        f"pathlib.Path({str(directory / 'pid')!r}).write_text(str(os.getpid()))\n"
+        f"replies = {replies!r}\n"
+        "if replies is None:\n"
+        "    sys.exit()\n"
+        "for line in sys.stdin:\n"
+        "    if line.strip() == '(get-model)':\n"
+        "        if not replies:\n"
+        "            break\n"
+        "        print(replies.pop(0), flush=True)\n"
+        "time.sleep(60)\n"
+    )
+    return f"{sys.executable} {path}"
+
+
+def a_is(value: str) -> str:
+    return f"sat\n(model (define-fun a () Bool {value}))"
+
+
+class TestNoSolverOutlivesSolve:
+    """Every solver process is killed and reaped before ``solve`` returns."""
+
+    @staticmethod
+    def assert_gone(directory) -> None:
+        pid = int((directory / "pid").read_text())
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
+
+    @pytest.mark.parametrize(
+        "enumerate, timeout, replies, status, answers",
+        [
+            (1, 60.0, [a_is("true"), a_is("false"), "unsat"], Status.SAT, 1),
+            (0, 60.0, [a_is("true"), a_is("false"), "unsat"], Status.SAT, 2),
+            (0, 1.0, [a_is("true")], Status.UNKNOWN, 1),
+        ],
+        ids=["first-of-two", "to-unsat", "timeout"],
+    )
+    def test_solve(self, tmp_path, enumerate, timeout, replies, status, answers):
+        cmd = replying_solver(tmp_path, replies)
+        cfg = SolveConfig(solver_cmd=cmd, enumerate=enumerate, timeout=timeout)
+        report = solve(parse_program("{a}.\n"), cfg)
+        assert (report.status, len(report.results)) == (status, answers)
+        self.assert_gone(tmp_path)
+
+    @pytest.mark.parametrize(
+        "replies",
+        [["sat\n(model (define-fun a () Bool (/ 1 0)))"], None],
+        ids=["malformed-model", "early-exit"],
+    )
+    def test_cli_solver_error(self, tmp_path, capsys, replies):
+        program = tmp_path / "p.lp"
+        program.write_text("{a}.\n")
+        code = cli.main([str(program), "--solver", replying_solver(tmp_path, replies), "--enumerate", "0"])
+        assert code == cli.EXIT_SOLVER_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("casp2smt: solver error: ") and "Traceback" not in err
+        self.assert_gone(tmp_path)
+
+    def test_cli_reads_a_model_sent_in_two_parts(self, tmp_path, capsys):
+        solver = tmp_path / "pausing_solver.py"
+        solver.write_text(
+            "import sys, time\n"
+            "for line in sys.stdin:\n"
+            "    if line.strip() == '(get-model)':\n"
+            "        print('sat\\n(model (define-fun a () Bo', end='', flush=True)\n"
+            "        time.sleep(0.3)\n"
+            "        print('ol true))', flush=True)\n"
+        )
+        program = tmp_path / "p.lp"
+        program.write_text("{a}.\n:- not a.\n")
+        assert cli.main([str(program), "--solver", f"{sys.executable} {solver}"]) == cli.EXIT_SAT
+        assert capsys.readouterr().out == "Answer 1: a\n"
+
+
+def recording_solver(directory, replies, wait: float) -> str:
+    """A fake interactive solver that logs to ``reads.jsonl`` each read up to
+    and including a ``(get-model)`` line, and "EOF" when its input ends
+    within ``wait`` seconds of one; it answers the n-th read, counted over
+    all its processes, with the n-th reply."""
+    path = directory / "recording_solver.py"
+    log = str(directory / "reads.jsonl")
+    path.write_text(
+        "import json, os, select, sys\n"
+        f"seen = open({log!r}).read().count('(get-model)') if os.path.exists({log!r}) else 0\n"
+        f"log = open({log!r}, 'a')\n"
+        f"replies = {replies!r}[seen:]\n"
+        "chunk = ''\n"
+        "for line in sys.stdin:\n"
+        "    chunk += line\n"
+        "    if line.strip() == '(get-model)':\n"
+        "        print(json.dumps(chunk), file=log, flush=True)\n"
+        "        chunk = ''\n"
+        f"        if select.select([sys.stdin], [], [], {wait})[0] and not sys.stdin.readline():\n"
+        "            print(json.dumps('EOF'), file=log, flush=True)\n"
+        "        print(replies.pop(0), flush=True)\n"
+    )
+    return f"{sys.executable} {path}"
+
+
+class TestSessionProtocol:
+    """One process per enumeration: the script once, then one blocking
+    assertion per check, each followed by the same two commands."""
+
+    ANSWERS = [{"a", "b"}, {"a"}, {"b"}, set()]
+
+    def expected_reads(self) -> list[str]:
+        p = parse_program(CHOICES)
+        current = pipeline._encode(p, SolveConfig(), use_ranking=False)
+        reads = [current.text + COMMANDS]
+        for x in self.ANSWERS:
+            current = block_model(current, set(p.atoms), {atom(n) for n in x})
+            reads.append(current.asserts[-1] + "\n" + COMMANDS)
+        return reads
+
+    def replies(self) -> list[str]:
+        models = [
+            "sat\n(model (define-fun a () Bool {}) (define-fun b () Bool {}))".format(
+                str("a" in x).lower(), str("b" in x).lower()
+            )
+            for x in self.ANSWERS
+        ]
+        return models + ["unsat"]
+
+    @pytest.mark.parametrize("k", [0, 2])
+    def test_reads(self, tmp_path, k):
+        cmd = recording_solver(tmp_path, self.replies(), wait=1.0 if k else 0.0)
+        report = solve(parse_program(CHOICES), SolveConfig(solver_cmd=cmd, enumerate=k))
+        assert result_families(report) == {frozenset(x) for x in self.ANSWERS[: k or None]}
+        lines = (tmp_path / "reads.jsonl").read_text().splitlines()
+        reads = [json.loads(line) for line in lines]
+        expected = self.expected_reads()
+        assert reads == (expected[:k] + ["EOF"] if k else expected)
 
 
 class TestOracleCap:

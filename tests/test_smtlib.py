@@ -1,6 +1,8 @@
 import itertools
+import os
 import random
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -18,11 +20,14 @@ from casp2smt.ranking import build_ranking_formula
 from casp2smt.smtlib import (
     SmtModel,
     SmtScript,
+    SolverResult,
+    SolverSession,
     Status,
     block_model,
     decode,
     emit_script,
     parse_model,
+    parse_reply,
     run_solver,
     symbol_table,
 )
@@ -301,6 +306,97 @@ class TestRunSolver:
         passed = Path(record.read_text())
         assert passed.suffix == ".smt2"
         assert not passed.exists()
+
+    def test_file_placeholder_gets_an_empty_stdin(self, tmp_path):
+        """A ``{file}`` solver cannot read, or wait on, the caller's stdin."""
+        solver = tmp_path / "reading_solver.py"
+        solver.write_text("import sys\nsys.stdin.read()\nprint('unsat')\n")
+        # the caller's stdin: a pipe that stays open while the test holds it
+        read_end, write_end = os.pipe()
+        saved = os.dup(0)
+        os.dup2(read_end, 0)
+        try:
+            cmd = [sys.executable, str(solver), "{file}"]
+            result = run_solver(SmtScript(logic="QF_LIA"), cmd, timeout=5.0)
+        finally:
+            os.dup2(saved, 0)
+            for fd in (saved, read_end, write_end):
+                os.close(fd)
+        assert result.status is Status.UNSAT
+
+    def test_one_process_answers_sat_then_unsat(self, solver_cmd):
+        script = SmtScript(logic="QF_LIA", asserts=("(assert (> x 4))",), var_symbols=(("x", "x"),))
+        with SolverSession(solver_cmd) as session:
+            assert run_solver(script, session).status is Status.SAT
+            pid = session.proc.pid
+            narrowed = replace(script, asserts=script.asserts + ("(assert (< x 5))",))
+            assert run_solver(narrowed, session).status is Status.UNSAT
+            assert session.proc.pid == pid
+
+    def test_a_script_that_does_not_extend_the_sent_one(self, solver_cmd):
+        script = SmtScript(logic="QF_LIA", asserts=("(assert (> x 4))",), var_symbols=(("x", "x"),))
+        with SolverSession(solver_cmd) as session:
+            run_solver(script, session)
+            with pytest.raises(ValueError):
+                run_solver(replace(script, logic="QF_LRA"), session)
+
+
+def whole_output(text: str):
+    """The reply as a parse of the solver's whole output reads it: the first
+    non-blank line, then after ``sat`` every later line as the model."""
+    answer, rest = None, []
+    for line in text.splitlines():
+        if answer is not None:
+            rest.append(line)
+        elif line.strip() in ("sat", "unsat", "unknown"):
+            answer = line.strip()
+        elif line.strip():
+            raise SolverProtocolError(f"unrecognized solver output: {line.strip()!r}")
+    if answer is None:
+        return None
+    model = parse_model("\n".join(rest)) if answer == "sat" else None
+    return SolverResult(Status(answer), model)
+
+
+def read_in_parts(text: str, cuts: list[int], eof: bool):
+    """Feed the output to :func:`parse_reply` cut at the given points, as
+    reads that end where they end; at the end of output, if ``eof``."""
+    out = ""
+    for start, end in itertools.pairwise([0, *sorted(cuts), len(text)]):
+        out += text[start:end]
+        reply = parse_reply(out, False)
+        if reply is not None:
+            return reply[0]
+    reply = parse_reply(out, True) if eof else None
+    return reply and reply[0]
+
+
+DEFINITIONS = st.one_of(
+    st.tuples(st.just("Bool"), st.sampled_from(["true", "false"])),
+    st.tuples(st.just("Int"), st.sampled_from(["0", "7", "(- 12)"])),
+    st.tuples(st.just("Real"), st.sampled_from(["2.0", "(- 0.5)", "(/ 1.0 3.0)", "(- (/ 7.0 2.0))"])),
+)
+
+
+class TestReplyReader:
+    @given(
+        st.sampled_from(["", "\n", "  \n"]),
+        st.sampled_from(["sat", "unsat", "unknown"]),
+        st.dictionaries(st.from_regex(r"[a-z][a-z0-9_]{0,4}", fullmatch=True), DEFINITIONS, max_size=5),
+        st.data(),
+    )
+    def test_a_reply_in_parts_reads_as_the_whole_output(self, lead, answer, definitions, data):
+        body = "".join(f"\n  (define-fun {s} () {sort} {v})" for s, (sort, v) in definitions.items())
+        text = f"{lead}{answer}\n" + (f"({body}\n)\n" if answer == "sat" else "")
+        cuts = data.draw(st.lists(st.integers(0, len(text)), max_size=8))
+        assert read_in_parts(text, cuts, eof=False) == whole_output(text)
+
+    @given(st.text(alphabet=st.sampled_from("()ast un\nk-/0.1x")) | st.text(), st.lists(st.integers(0, 60)))
+    def test_garbage_raises_only_protocol_errors(self, text, cuts):
+        try:
+            read_in_parts(text, [c for c in cuts if c <= len(text)], eof=True)
+        except SolverProtocolError:
+            pass
 
 
 class TestBridgeFaithfulness:

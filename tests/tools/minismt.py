@@ -2,12 +2,14 @@
 """Reference SMT-LIB 2 solver for the test suite.
 
 Reads a QF_LIA/QF_LRA script on stdin (or from a file argument), answers
-(check-sat) and (get-model). Decides the propositional abstraction with a
-small DPLL loop and checks each complete assignment against the theory:
-rational Fourier-Motzkin for infeasibility, midpoint back-substitution for a
-real witness, and a pruned integer search inside [-512, 512] for an integer
-witness. Intentionally independent of the package under test; exact within
-its search window, which covers every script the tests generate.
+(check-sat) and (get-model). Each command runs as soon as it is read and each
+answer is flushed, so one process serves a whole interactive session.
+Decides the propositional abstraction with a small DPLL loop and checks each
+complete assignment against the theory: rational Fourier-Motzkin for
+infeasibility, midpoint back-substitution for a real witness, and a pruned
+integer search inside [-512, 512] for an integer witness. Intentionally
+independent of the package under test; exact within its search window,
+which covers every script the tests generate.
 """
 
 import re
@@ -22,19 +24,24 @@ def tokenize(text):
     return re.findall(r"\(|\)|[^\s()]+", text)
 
 
-def read_forms(tokens):
+def read_forms(lines):
+    """Each top-level form of the text, as soon as its last line is read."""
     stack = [[]]
-    for tok in tokens:
-        if tok == "(":
-            stack.append([])
-        elif tok == ")":
-            done = stack.pop()
-            stack[-1].append(done)
-        else:
-            stack[-1].append(tok)
+    for line in lines:
+        for tok in tokenize(line):
+            if tok == "(":
+                stack.append([])
+            elif tok == ")":
+                if len(stack) == 1:
+                    raise ValueError("unbalanced parentheses")
+                done = stack.pop()
+                stack[-1].append(done)
+            else:
+                stack[-1].append(tok)
+            if len(stack) == 1:
+                yield stack[0].pop()
     if len(stack) != 1:
         raise ValueError("unbalanced parentheses")
-    return stack[0]
 
 
 RELS = {"<", "<=", ">", ">=", "="}
@@ -479,13 +486,10 @@ def render_value(value, sort):
 
 
 def main():
-    if len(sys.argv) > 1:
-        text = open(sys.argv[1], encoding="utf-8").read()
-    else:
-        text = sys.stdin.read()
+    source = open(sys.argv[1], encoding="utf-8") if len(sys.argv) > 1 else sys.stdin
     script = Script()
     answer = None
-    for form in read_forms(tokenize(text)):
+    for form in read_forms(source):
         if not isinstance(form, list) or not form:
             continue
         head = form[0]
@@ -499,7 +503,7 @@ def main():
             script.add_assert(form[1])
         elif head == "check-sat":
             answer = script.solve()
-            print("sat" if answer is not None else "unsat")
+            print("sat" if answer is not None else "unsat", flush=True)
         elif head == "get-model":
             if answer is None:
                 continue
@@ -516,7 +520,7 @@ def main():
                         f"  (define-fun {symbol} () {sort} {render_value(num, sort)})"
                     )
             lines.append(")")
-            print("\n".join(lines))
+            print("\n".join(lines), flush=True)
         # set-option / set-info / exit are ignored
 
 
