@@ -12,11 +12,9 @@ from .lincon import LexiconKind, LinearConstraint, LinExpr, Rel
 from .parser import parse_program, render_program
 from .pipeline import (
     Encoding,
-    Fragment,
     Mode,
     SolveConfig,
     SolveReport,
-    classify_fragment,
     render_report,
     solve,
     verify,
@@ -38,7 +36,6 @@ __all__ = [
     "AtomId",
     "Casp2SmtError",
     "Encoding",
-    "Fragment",
     "LexiconKind",
     "LinExpr",
     "LinearConstraint",
@@ -50,7 +47,6 @@ __all__ = [
     "SolveReport",
     "Status",
     "atom",
-    "classify_fragment",
     "input_answer_sets",
     "is_input_answer_set",
     "is_tight",

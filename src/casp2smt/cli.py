@@ -10,13 +10,13 @@ exit codes:
   12  the solver cannot be started; its output cannot be read, such as
       'sat' with no model or with an (error ...) form; or the in-process
       check rejects its model, such as one with a non-integer value over
-      QF_LIA
+      QF_LIA, a value outside --var-box or an answer set it already gave
   13  any other error, such as a program file that cannot be read or is
       not UTF-8, an --emit-smtlib file that cannot be written, or more
       atoms than the oracle enumerates
 
 solver: --solver starts one process per enumeration and writes it the script,
-then one blocking assertion per further answer, each followed by (check-sat)
+then one blocking assertion per further answer set, each followed by (check-sat)
 and (get-model); it must answer each command as it arrives, as z3 -in does. A
 command with a {file} placeholder runs once per check on a temp file instead.
 Each check may take 60 s; one that runs out is UNKNOWN.
@@ -100,7 +100,10 @@ def build_arg_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--extended",
         action="store_true",
-        help="report a constraint-variable valuation with each answer set",
+        help="report a constraint-variable valuation with each answer set: "
+        "with --enumerate 1 the witness the solver or the oracle found, "
+        "otherwise every valuation of the --var-box for each answer set, "
+        "in lexicographic order",
     )
     parser.add_argument(
         "--var-box",

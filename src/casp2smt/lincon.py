@@ -16,7 +16,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import ceil, floor, gcd, lcm
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .errors import UnboundVariable
@@ -177,16 +177,22 @@ def _boxed_solutions(
     cs: Iterable[LinearConstraint], lo: int, hi: int
 ) -> Iterator[dict[str, int]]:
     """Depth-first search over the integer box, in lexicographic order of the
-    sorted variable names of the constraints, pruning a branch as soon as a
-    fully assigned constraint fails."""
+    sorted variable names of the constraints. Each constraint bounds the last
+    of its variables once the others are set, so a variable walks only the
+    range its constraints leave, minus the values a disequality excludes."""
     if lo > hi:
         raise ValueError(f"empty box [{lo}, {hi}]")
     cs = tuple(cs)
     order = constraint_variables(cs)
     position = {name: i for i, name in enumerate(order)}
-    by_last: list[list[LinearConstraint]] = [[] for _ in order]
+    # per variable, the constraints it completes (their last term by name),
+    # as a*var rel k - rest; over the integers < k is <= k-1 and > k is >= k+1
+    by_last: list[list] = [[] for _ in order]
     for c in cs:
-        by_last[max(position[v] for v in c.variables)].append(c)
+        *rest, (name, a) = c.expr.terms
+        strict = {Rel.LT: (Rel.LE, c.bound - 1), Rel.GT: (Rel.GE, c.bound + 1)}
+        rel, k = strict.get(c.rel, (c.rel, c.bound))
+        by_last[position[name]].append((a, rest, rel if a > 0 else rel.mirror, k))
 
     assignment: dict[str, int] = {}
 
@@ -194,14 +200,22 @@ def _boxed_solutions(
         if depth == len(order):
             yield dict(assignment)
             return
+        low, high, excluded = lo, hi, set()
+        for a, rest, rel, k in by_last[depth]:
+            q = (k - sum(b * assignment[v] for v, b in rest)) / a
+            if rel in (Rel.LE, Rel.EQ):
+                high = min(high, floor(q))
+            if rel in (Rel.GE, Rel.EQ):
+                low = max(low, ceil(q))
+            if rel is Rel.NE and q.denominator == 1:
+                excluded.add(q.numerator)
         name = order[depth]
-        for value in range(lo, hi + 1):
-            assignment[name] = value
-            if all(evaluate(c, assignment) for c in by_last[depth]):
+        for value in range(low, high + 1):
+            if value not in excluded:
+                assignment[name] = value
                 yield from descend(depth + 1)
-        del assignment[name]
 
-    yield from descend(0)
+    return descend(0)
 
 
 def gcsp_solve_bounded(
@@ -215,9 +229,10 @@ def gcsp_solve_bounded(
 
 def gcsp_enumerate_bounded(
     cs: Iterable[LinearConstraint], lo: int, hi: int
-) -> list[dict[str, int]]:
-    """All integer solutions inside the box, lexicographic order."""
-    return list(_boxed_solutions(cs, lo, hi))
+) -> Iterator[dict[str, int]]:
+    """Every integer solution inside the box, lazily, in lexicographic order
+    of the sorted variable names."""
+    return _boxed_solutions(cs, lo, hi)
 
 
 # a row  sum(coeff * var) <= k,  or < k when strict
@@ -310,14 +325,6 @@ def real_solution(
         else:
             value[var] = Fraction(0)
     return dict(sorted(value.items()))
-
-
-def is_difference_shape(c: LinearConstraint) -> bool:
-    """True for the x - y <rel> k shape difference logic accepts."""
-    if len(c.expr.terms) != 2:
-        return False
-    coeffs = sorted(coeff for _, coeff in c.expr.terms)
-    return coeffs == [Fraction(-1), Fraction(1)]
 
 
 def render_constraint(c: LinearConstraint) -> str:

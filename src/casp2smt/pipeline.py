@@ -11,7 +11,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import AbstractSet, Iterator, Optional, Sequence, Tuple, Union
+from typing import AbstractSet, Iterable, Iterator, Optional, Sequence, Tuple, Union
 
 from . import lincon
 from .completion import input_completion
@@ -38,12 +38,6 @@ class Mode(enum.Enum):
 class Encoding(enum.Enum):
     ICOMP_ONLY = "icomp"
     ICOMP_PLUS_RANKING = "icomp+ranking"
-
-
-class Fragment(enum.Enum):
-    IL = "IL"
-    DL = "DL"
-    L = "L"
 
 
 @dataclass
@@ -82,16 +76,6 @@ class SolveReport:
     status: Status
 
 
-def classify_fragment(p: Program, kind: LexiconKind) -> Fragment:
-    """Difference logic is reported when every program constraint already has
-    the two-variable unit-coefficient shape (ranking constraints always do)."""
-    if kind is LexiconKind.REAL_LINEAR:
-        return Fragment.L
-    if all(lincon.is_difference_shape(a.constraint) for a in p.irregular_atoms):
-        return Fragment.DL
-    return Fragment.IL
-
-
 def _check_config(cfg: SolveConfig) -> None:
     if cfg.enumerate < 0:
         raise InconsistentConfig("enumerate must be a natural number (0 = all)")
@@ -122,20 +106,19 @@ def _solutions(
     kind: LexiconKind,
     box: Optional[Tuple[int, int]],
     every: bool = False,
-) -> list[dict[str, Fraction]]:
-    """Solutions of a constraint problem, empty when it has none: over the
-    reals one exact witness, over the integers the first solution or every
-    one. The box bounds the variables in both domains; the integer search
-    falls back to :data:`DEFAULT_ORACLE_BOX`."""
+) -> Iterator[dict[str, Fraction]]:
+    """Solutions of a constraint problem, none when it has none: over the
+    reals one exact witness, over the integers the first solution or, lazily
+    in lexicographic order, every one. The box bounds the variables in both
+    domains; the integer search falls back to :data:`DEFAULT_ORACLE_BOX`."""
+    lo, hi = box if box is not None else DEFAULT_ORACLE_BOX
     if kind is LexiconKind.REAL_LINEAR:
         found = [lincon.real_solution(gcsp, box)]
+    elif every:
+        found = lincon.gcsp_enumerate_bounded(gcsp, lo, hi)
     else:
-        lo, hi = box if box is not None else DEFAULT_ORACLE_BOX
-        if every:
-            found = lincon.gcsp_enumerate_bounded(gcsp, lo, hi)
-        else:
-            found = [lincon.gcsp_solve_bounded(gcsp, lo, hi)]
-    return [{v: Fraction(n) for v, n in s.items()} for s in found if s is not None]
+        found = [lincon.gcsp_solve_bounded(gcsp, lo, hi)]
+    return ({v: Fraction(n) for v, n in s.items()} for s in found if s is not None)
 
 
 def verify(
@@ -151,7 +134,7 @@ def verify(
     scope = p.irregular_atoms
     if not (set(x) <= set(p.atoms) and is_input_answer_set(p, x, scope)):
         return False
-    return bool(_solutions(_induced_gcsp(scope, x), kind, box))
+    return next(_solutions(_induced_gcsp(scope, x), kind, box), None) is not None
 
 
 def _ordered(p: Program, x: AbstractSet[AtomId]) -> Tuple[AtomId, ...]:
@@ -173,6 +156,17 @@ def _encode(p: Program, cfg: SolveConfig, use_ranking: bool) -> SmtScript:
     return emit_script(to_clauses(formula, (a.name for a in p.atoms)), cfg.logic, bounds)
 
 
+def _answers(p: Program, cfg: SolveConfig, x: AbstractSet[AtomId], witness) -> Iterable[AnswerResult]:
+    """The answers of the answer set x: x alone, x with its witness when one
+    extended answer is asked for, or, lazily, x with each valuation of its
+    box in lexicographic order when extended answers are listed."""
+    atoms = _ordered(p, x)
+    if cfg.extended and cfg.enumerate != 1:
+        gcsp = _induced_gcsp(p.irregular_atoms, x)
+        return (AnswerResult(atoms, s) for s in _solutions(gcsp, cfg.logic, cfg.var_box, every=True))
+    return [AnswerResult(atoms, witness if cfg.extended else None)]
+
+
 def _solve_oracle(p: Program, cfg: SolveConfig) -> Iterator[AnswerResult]:
     """Answers by exhaustive semantics checks, in the order of
     :func:`input_answer_sets`."""
@@ -180,15 +174,16 @@ def _solve_oracle(p: Program, cfg: SolveConfig) -> Iterator[AnswerResult]:
 
     scope = p.irregular_atoms
     for x in input_answer_sets(p, scope):
-        gcsp = _induced_gcsp(scope, x)
-        for s in _solutions(gcsp, cfg.logic, cfg.var_box, every=cfg.extended):
-            yield AnswerResult(_ordered(p, x), s if cfg.extended else None)
+        for witness in _solutions(_induced_gcsp(scope, x), cfg.logic, cfg.var_box):
+            yield from _answers(p, cfg, x, witness)
 
 
 def _solve_smt(p: Program, cfg: SolveConfig, script: SmtScript) -> Iterator[Optional[AnswerResult]]:
-    """Answers through one solver session, one check per answer, each
-    blocked before the next check. A check that ends in UNKNOWN (a solver
-    'unknown' or a timeout) yields None and ends the enumeration."""
+    """Answers through one solver session, one check per answer set, each
+    blocked by its atoms before the next check. A check that ends in UNKNOWN
+    (a solver 'unknown' or a timeout) yields None and ends the enumeration;
+    an answer set the solver repeats, ignoring its blocking assertion, is a
+    :class:`SolverProtocolError`."""
     cmd = cfg.solver_cmd or os.environ.get(SOLVER_ENV_VAR)
     if not cmd:
         raise SolverSpawnFailure(
@@ -197,7 +192,7 @@ def _solve_smt(p: Program, cfg: SolveConfig, script: SmtScript) -> Iterator[Opti
         )
     program_atoms, scope = set(p.atoms), p.irregular_atoms
     integer = cfg.logic is LexiconKind.INTEGER_LINEAR
-    current = script
+    box, current, reported = cfg.var_box, script, set()
     with SolverSession(cmd, cfg.enumerate or None) as session:
         while True:
             outcome = run_solver(current, session, cfg.timeout)
@@ -209,17 +204,20 @@ def _solve_smt(p: Program, cfg: SolveConfig, script: SmtScript) -> Iterator[Opti
             assert outcome.model is not None
             x, valuation = decode(outcome.model, current, program_atoms)
             # certified: an input answer set whose constraint atoms are true
-            # exactly when the model's values, integers over QF_LIA, satisfy
-            # their constraints
+            # exactly when the model's values, integers over QF_LIA and inside
+            # the box, satisfy their constraints
             if (
                 not is_input_answer_set(p, x, scope)
                 or (integer and any(n.denominator != 1 for n in valuation.values()))
+                or (box is not None and not all(box[0] <= n <= box[1] for n in valuation.values()))
                 or not all(lincon.evaluate(c, valuation) for c in _induced_gcsp(scope, x))
             ):
                 raise SolverProtocolError(f"the solver's model is no answer set: {sorted(x)}")
-            yield AnswerResult(_ordered(p, x), valuation if cfg.extended else None)
-            blocked_values = valuation if cfg.extended and cfg.var_box is not None else {}
-            current = block_model(current, program_atoms, x, blocked_values)
+            if x in reported:
+                raise SolverProtocolError(f"the solver repeated the answer set {sorted(x)}")
+            reported.add(x)
+            yield from _answers(p, cfg, x, valuation)
+            current = block_model(current, program_atoms, x)
 
 
 def solve(p: Program, cfg: Optional[SolveConfig] = None) -> SolveReport:
@@ -229,6 +227,11 @@ def solve(p: Program, cfg: Optional[SolveConfig] = None) -> SolveReport:
     the ranking formula otherwise; oracle mode computes the same answer sets
     by exhaustive semantics checks with no external process. An enumeration
     that a solver call cuts short is UNKNOWN and keeps the answers before it.
+
+    With ``extended`` and ``enumerate=1`` the one answer carries the witness
+    its backend found: the solver's model or the oracle's first box
+    valuation. Listing more extended answers reports, for each answer set in
+    turn, every valuation of its box in lexicographic order.
 
     Without ``var_box`` the oracle searches integer variables only inside
     :data:`DEFAULT_ORACLE_BOX`, while the solver leaves them unbounded, so a

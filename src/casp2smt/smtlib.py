@@ -418,20 +418,11 @@ def run_solver(
         return session.check(s, timeout)
 
 
-def block_model(
-    s: SmtScript,
-    scope: AbstractSet[AtomId],
-    x: AbstractSet[AtomId],
-    values: Mapping[str, Fraction] = {},
-) -> SmtScript:
-    """Add one assertion excluding the answer x over the scope's atoms and,
-    for the variables that ``values`` names, their values. An empty scope
-    blocks everything, ending enumeration."""
+def block_model(s: SmtScript, scope: AbstractSet[AtomId], x: AbstractSet[AtomId]) -> SmtScript:
+    """Add one assertion excluding the answer set x over the scope's atoms;
+    blocking goes by atoms only, so the next check finds another answer set.
+    An empty scope blocks everything, ending enumeration."""
     lits = [symbol if a in x else f"(not {symbol})" for a, symbol in s.atom_symbols if a in scope]
-    int_sort = s.num_sort == "Int"
-    for name, symbol in s.var_symbols:
-        if name in values:
-            lits.append(f"(= {symbol} {render_number(values[name], int_sort)})")
     if not lits:
         blocking = "(assert false)"
     elif len(lits) == 1:

@@ -13,22 +13,19 @@ from casp2smt.lincon import LexiconKind, LinearConstraint, LinExpr, Rel
 from casp2smt.parser import parse_program
 from casp2smt.pipeline import (
     Encoding,
-    Fragment,
     Mode,
     SolveConfig,
     Status,
-    classify_fragment,
     render_report,
     solve,
     verify,
 )
 from casp2smt.program import ORACLE_CAP, Program, Rule, atom, constraint_atom
-from casp2smt.smtlib import block_model
+from casp2smt.smtlib import block_model, run_solver
 
 from .conftest import families
 from .randprog import random_cas_program
 
-INT = LexiconKind.INTEGER_LINEAR
 REAL = LexiconKind.REAL_LINEAR
 
 NONTIGHT = "a :- b.\nb :- a.\n{c}.\na :- c.\n:- not a.\n"
@@ -50,16 +47,12 @@ def extended_families(report):
     }
 
 
-class TestClassifyFragment:
-    def test_hours_program_is_integer_linear(self, pi1_text):
-        assert classify_fragment(parse_program(pi1_text), INT) is Fragment.IL
-
-    def test_difference_constraints(self):
-        p = parse_program(":- |x - y <= 3|.\n{a}.\na :- |2*x - 2*y > 0|.\n")
-        assert classify_fragment(p, INT) is Fragment.DL
-
-    def test_real_lexicon(self, pi1_text):
-        assert classify_fragment(parse_program(pi1_text), REAL) is Fragment.L
+def valuations_by_answer_set(report):
+    """Each answer set's valuations, in the order they were reported."""
+    listed: dict[frozenset, list] = {}
+    for r in report.results:
+        listed.setdefault(frozenset(a.name for a in r.atoms), []).append(r.valuation)
+    return listed
 
 
 class TestVerify:
@@ -155,14 +148,26 @@ class TestSmtSolve:
             frozenset({"switch", "lightOn", "|x>=12|"})
         }
 
-    def test_extended_valuation_blocking(self, solver_cmd, pi1_text):
+    def test_extended_answers_take_one_check_per_answer_set(
+        self, solver_cmd, pi1_text, monkeypatch
+    ):
+        """PI1 has one answer set: one check finds it, the box search lists
+        its 12 valuations, and one more check shows there is no other."""
+        checks = []
+
+        def counted(script, solver, timeout):
+            checks.append(script)
+            return run_solver(script, solver, timeout)
+
+        monkeypatch.setattr(pipeline, "run_solver", counted)
         report = solve(
             parse_program(pi1_text),
             SolveConfig(
                 solver_cmd=solver_cmd, extended=True, var_box=(0, 23), enumerate=0
             ),
         )
-        assert len(report.results) == 12
+        assert [r.valuation for r in report.results] == [{"x": v} for v in range(12, 24)]
+        assert len(checks) == 2
 
     def test_differential_against_oracle(self, solver_cmd):
         rng = random.Random(89)
@@ -194,6 +199,25 @@ class TestSmtSolve:
                 ),
             )
             assert extended_families(oracle) == extended_families(smt)
+            assert valuations_by_answer_set(oracle) == valuations_by_answer_set(smt)
+
+    @pytest.mark.parametrize(
+        "text, bound, first",
+        [
+            ("p :- |x - y <= 5|.\n:- not p.\n", 10**6, [(-(10**6), -(10**6) + i) for i in range(3)]),
+            ("p :- |x - y = 0|, |y >= 290|.\n:- not p.\n", 1000, [(v, v) for v in (290, 291, 292)]),
+        ],
+        ids=["dense", "sparse"],
+    )
+    def test_wide_box_lists_its_first_valuations(self, solver_cmd, text, bound, first):
+        """Each variable walks only the range its constraints leave, so a
+        wide box gives its first extended answers without walking the box."""
+        p = parse_program(text)
+        for cfg in (SolveConfig(oracle_only=True), SolveConfig(solver_cmd=solver_cmd)):
+            cfg = replace(cfg, extended=True, enumerate=3, var_box=(-bound, bound))
+            report = solve(p, cfg)
+            assert len(result_families(report)) == 1
+            assert [(r.valuation["x"], r.valuation["y"]) for r in report.results] == first
 
     def test_differential_reals(self, solver_cmd):
         rng = random.Random(113)
@@ -357,12 +381,36 @@ class TestMalformedSolverOutput:
         assert capsys.readouterr().err.startswith("casp2smt: solver error: ")
 
     def test_non_integer_value_in_an_extended_enumeration(self, tmp_path, capsys):
-        """Blocking the answer would render the value as an integer."""
+        """The in-process check rejects the value: over QF_LIA every value
+        of a model must be an integer."""
         model = HALF.replace("(/ 1 2)", "1.5")
         args = ["--extended", "--var-box", "0", "5", "--enumerate", "0"]
         code = cli.main([self.program(tmp_path), "--solver", self.solver(tmp_path, model), *args])
         assert code == cli.EXIT_SOLVER_ERROR
         assert capsys.readouterr().err.startswith("casp2smt: solver error: ")
+
+    def test_value_outside_the_box(self, tmp_path, capsys):
+        """The box bounds every variable, so a model beyond it is no answer
+        set of the boxed program."""
+        model = HALF.replace("(/ 1 2)", "9")
+        solver = self.solver(tmp_path, model)
+        code = cli.main([self.program(tmp_path), "--solver", solver, "--var-box", "0", "5"])
+        assert code == cli.EXIT_SOLVER_ERROR
+        assert "is no answer set" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "args",
+        [[], ["--extended", "--var-box", "0", "5"]],
+        ids=["answer-sets", "extended"],
+    )
+    def test_a_repeated_answer_set(self, tmp_path, capsys, args):
+        """A solver that ignores the blocking assertion and answers with the
+        same answer set again is caught, not enumerated without end."""
+        model = HALF.replace("(/ 1 2)", "1")
+        solver = self.solver(tmp_path, model)
+        code = cli.main([self.program(tmp_path), "--solver", solver, "--enumerate", "0", *args])
+        assert code == cli.EXIT_SOLVER_ERROR
+        assert "repeated the answer set" in capsys.readouterr().err
 
     @staticmethod
     def program(directory) -> str:

@@ -5,9 +5,9 @@ PI1 and for a reachability ring with chords: over QF_LIA by mode and ranking
 variant, and over QF_LRA, under a variable box and with bounded rank
 variables. A third, non-tight program pins multivariate constraints over
 QF_LIA and QF_LRA, and one digest covers the scripts of random programs in
-every configuration. A last digest covers every script the solver is sent
-while a stand-in answers with the oracle's answers, blocking assertions
-included. A change that sets out to alter the encoding updates these pins
+every configuration. Last, one digest per configuration covers every script
+the solver is sent while a stand-in answers with the oracle's answer sets,
+blocking assertions included. A change that sets out to alter the encoding updates these pins
 and says so; any other change must leave them untouched.
 """
 
@@ -173,29 +173,35 @@ def test_random_program_sweep_is_pinned(monkeypatch):
     assert digest == SWEEP_PIN
 
 
-# one digest over the 916 scripts of 40 random programs in three
-# configurations, each call answered with the oracle's next answer
-STREAM_PIN = (916, "8cd3631b45053a5f883e4cb76ee95c1147985fbf2e8c7729bb1ac6e954ff469c")
-
+# per configuration, the number of scripts of 40 random programs and one
+# digest over them, each call answered with the oracle's next answer set
 STREAM_CONFIGS = [
-    dict(var_box=(-4, 4)),
-    dict(extended=True, var_box=(-2, 2)),
-    dict(logic=LexiconKind.REAL_LINEAR, mode=Mode.FORCE_RANKING, bound_ranks=True),
+    (
+        dict(var_box=(-4, 4)),
+        (131, "788ea98c30c02e17be025da943c20d235d9c6cb1734cb900d3c3dff71d48e982"),
+    ),
+    (
+        dict(extended=True, var_box=(-2, 2)),
+        (104, "54f8b3e5ecdaa4d5e3fe0f41677a294f1d51de8d2a84d5d3f74eaaf9609e2c26"),
+    ),
+    (
+        dict(logic=LexiconKind.REAL_LINEAR, mode=Mode.FORCE_RANKING, bound_ranks=True),
+        (164, "d23f282da103a91fdc4dca35f4b33ca7bd8fbba8acad2923e588e9dd8e194e39"),
+    ),
 ]
 
 
 def oracle_replay(p, cfg: SolveConfig):
     """The oracle's answers to ``p`` under ``cfg``, and a stand-in for
-    ``run_solver`` that returns them in order as models, then UNSAT. An
-    answer without a valuation takes the oracle's witness for its atoms."""
+    ``run_solver`` that returns each of their answer sets in order as a
+    model, with the oracle's first valuation for its atoms, then UNSAT."""
     oracle = solve(p, replace(cfg, oracle_only=True, solver_cmd=None))
-    answers = []
+    answers = {}
     for r in oracle.results:
-        values = r.valuation
-        if values is None:
+        if r.atom_set not in answers:
             gcsp = pipeline._induced_gcsp(p.irregular_atoms, r.atom_set)
-            values = pipeline._solutions(gcsp, cfg.logic, cfg.var_box)[0]
-        answers.append((r.atom_set, values))
+            answers[r.atom_set] = next(pipeline._solutions(gcsp, cfg.logic, cfg.var_box))
+    answers = list(answers.items())
     scripts: list[str] = []
 
     def stand_in(script, cmd, timeout):
@@ -213,9 +219,9 @@ def oracle_replay(p, cfg: SolveConfig):
 def test_solver_call_stream_is_pinned(monkeypatch):
     rng = random.Random(14)
     programs = [parse_program(render_program(random_cas_program(rng))) for _ in range(40)]
-    streamed: list[str] = []
+    streamed: list[list[str]] = [[] for _ in STREAM_CONFIGS]
     for p in programs:
-        for config in STREAM_CONFIGS:
+        for (config, _), stream in zip(STREAM_CONFIGS, streamed):
             cfg = SolveConfig(solver_cmd="unused", enumerate=0, **config)
             oracle, stand_in, scripts = oracle_replay(p, cfg)
             monkeypatch.setattr(pipeline, "run_solver", stand_in)
@@ -224,6 +230,6 @@ def test_solver_call_stream_is_pinned(monkeypatch):
                 (r.atoms, r.valuation) for r in oracle.results
             ]
             assert smt.status is oracle.status
-            streamed += scripts
-    digest = hashlib.sha256("".join(streamed).encode()).hexdigest()
-    assert (len(streamed), digest) == STREAM_PIN
+            stream += scripts
+    pins = [(len(s), hashlib.sha256("".join(s).encode()).hexdigest()) for s in streamed]
+    assert pins == [pin for _, pin in STREAM_CONFIGS]

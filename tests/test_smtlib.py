@@ -186,11 +186,6 @@ class TestBlockModel:
         blocked = block_model(script, scope, {atom("b__x_ge_1"), atom("ok")})
         assert blocked.asserts[-1] == "(assert (not (and b__x_ge_1 (not b__x_ge_1_1) ok)))"
 
-    def test_numeric_scope(self):
-        script = SmtScript(logic="QF_LIA", atom_symbols=((atom("a"), "a"),), var_symbols=(("x", "x"),))
-        blocked = block_model(script, {atom("a")}, {atom("a")}, {"x": Fraction(-7)})
-        assert blocked.asserts[-1] == "(assert (not (and a (= x (- 7)))))"
-
 
 class TestDecode:
     def test_symbol_collision_decodes_through_the_script_table(self):
