@@ -13,7 +13,7 @@ exit codes:
       QF_LIA, a value outside --var-box or an answer set it already gave
   13  any other error, such as a program file that cannot be read or is
       not UTF-8, an --emit-smtlib file that cannot be written, or more
-      atoms than the oracle enumerates
+      guessed atoms than the oracle enumerates
 
 solver: --solver starts one process per enumeration and writes it the script,
 then one blocking assertion per further answer set, each followed by (check-sat)
@@ -86,7 +86,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--oracle",
         action="store_true",
-        help="solve in-process by exhaustive semantics checks (no SMT solver); "
+        help="solve in-process by exhaustive semantics checks over the guessed "
+        "atoms, the constraint atoms and the atoms under not (no SMT solver); "
         f"without --var-box it searches integer variables only in {list(DEFAULT_ORACLE_BOX)}, "
         "where the solver leaves them unbounded",
     )

@@ -6,7 +6,7 @@ class Casp2SmtError(Exception):
 
 
 class OracleCapExceeded(Casp2SmtError):
-    """Exhaustive enumeration was asked to cover too many atoms."""
+    """Exhaustive enumeration was asked to cover too many guessed atoms."""
 
     def __init__(self, count: int, cap: int):
         super().__init__(f"{count} atoms exceed the oracle cap of {cap}")

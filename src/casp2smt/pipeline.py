@@ -168,8 +168,8 @@ def _answers(p: Program, cfg: SolveConfig, x: AbstractSet[AtomId], witness) -> I
 
 
 def _solve_oracle(p: Program, cfg: SolveConfig) -> Iterator[AnswerResult]:
-    """Answers by exhaustive semantics checks, in the order of
-    :func:`input_answer_sets`."""
+    """Answers by exhaustive semantics checks over the guessed atoms, in the
+    order of :func:`input_answer_sets`."""
     from .program import input_answer_sets
 
     scope = p.irregular_atoms
@@ -225,7 +225,8 @@ def solve(p: Program, cfg: Optional[SolveConfig] = None) -> SolveReport:
 
     Auto mode encodes the input completion alone for tight programs and adds
     the ranking formula otherwise; oracle mode computes the same answer sets
-    by exhaustive semantics checks with no external process. An enumeration
+    by exhaustive semantics checks over the guessed atoms (the constraint atoms
+    and the atoms under ``not``) with no external process. An enumeration
     that a solver call cuts short is UNKNOWN and keeps the answers before it.
 
     With ``extended`` and ``enumerate=1`` the one answer carries the witness

@@ -6,8 +6,9 @@ map from irregular atoms to constraints.
 
 This module is the semantics oracle of the package: answer sets are computed
 directly from the definition (reduct plus least fixpoint of the positive
-remainder), with exhaustive candidate enumeration capped at
-:data:`ORACLE_CAP` atoms.
+remainder). Only the atoms the reduct and the input facts read are guessed:
+the input atoms and the atoms under ``not`` or ``not not``. Exhaustive
+enumeration of the guesses is capped at :data:`ORACLE_CAP` guessed atoms.
 """
 
 from __future__ import annotations
@@ -174,9 +175,9 @@ def is_input_answer_set(
 
 
 def subsets(names: Iterable[AtomId]) -> Iterator[frozenset[AtomId]]:
-    """Every subset of the names, in lexicographic order of bit vectors over
-    the sorted names; more than :data:`ORACLE_CAP` names raise
-    :class:`OracleCapExceeded`."""
+    """Every subset of the guessed atoms ``names``, in lexicographic order of
+    bit vectors over the sorted names; more than :data:`ORACLE_CAP` guessed
+    atoms raise :class:`OracleCapExceeded`."""
     ordered = sorted(set(names))
     if len(ordered) > ORACLE_CAP:
         raise OracleCapExceeded(len(ordered), ORACLE_CAP)
@@ -189,9 +190,25 @@ def input_answer_sets(
 ) -> list[frozenset[AtomId]]:
     """All x over the program's atoms that are answer sets once x's input
     part is added back as facts, in lexicographic order of atom-name bit
-    vectors. With no input atoms these are the plain answer sets."""
+    vectors. With no input atoms these are the plain answer sets.
+
+    The reduct reads x only through the atoms under ``not`` or ``not not``,
+    and the facts only through x's input atoms, so x is fixed by its part g
+    on these guessed atoms: it is the least model of the reduct by g with
+    g's input atoms as facts. Each guess g is kept when that least model
+    agrees with g on the guessed atoms and passes
+    :func:`is_input_answer_set`."""
     require_heads_outside_input(p, iota)
-    return [x for x in subsets(p.atoms) if is_input_answer_set(p, x, iota)]
+    guessed = {a for a in p.atoms if a in iota}
+    guessed.update(a for r in p.rules for a in r.neg | r.dneg)
+    found = []
+    for g in subsets(guessed):
+        pairs = _reduct_pairs(p.rules, g) + [(a, frozenset()) for a in g & iota]
+        x, bottom = _least_model(pairs)
+        if not bottom and x & guessed == g and is_input_answer_set(p, x, iota):
+            found.append(x)
+    order = sorted(p.atoms)
+    return sorted(found, key=lambda x: [a in x for a in order])
 
 
 def is_tight(p: Program) -> bool:

@@ -1,11 +1,17 @@
+import contextlib
+import io
 import json
 import os
 import random
 import sys
+import tempfile
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from casp2smt import cli, pipeline
 from casp2smt.errors import InconsistentConfig, NotTight
@@ -428,6 +434,86 @@ class TestMalformedSolverOutput:
             f"        print('sat')\n        print({model!r}, flush=True)\n"
         )
         return f"{sys.executable} {solver}"
+
+
+# solver output built from the symbols of FUZZED's script, and a few others
+_DEFINE_FUN = st.builds(
+    "(define-fun {} () {} {})".format,
+    st.sampled_from(["a", "b", "b__x_gt_0", "x", "y"]),
+    st.sampled_from(["Bool", "Int", "Real"]),
+    st.sampled_from(
+        ["true", "false", "0", "1", "7", "1.5", "(- 2)", "(/ 1 2)", "(/ 1 0)", "(to_real 3)", "x", "()"]
+    ),
+)
+_MODEL = st.builds(
+    "{}{}{})".format,
+    st.sampled_from(["(model ", "(", "(error "]),
+    st.lists(_DEFINE_FUN, max_size=5).map(" ".join),
+    st.sampled_from(["", ")"]),
+)
+# models of FUZZED, the answer sets {b} and {a, |x>0|}
+_ANSWERS = st.sampled_from(
+    [
+        "(model (define-fun b () Bool true))",
+        "(model (define-fun a () Bool true) (define-fun b__x_gt_0 () Bool true) (define-fun x () Int 1))",
+    ]
+)
+# a reply the session reads to its end, so the fake gets the next check
+_COMPLETE_REPLY = st.sampled_from(["unsat\n", "unknown\n"]) | (_ANSWERS | _MODEL).map("sat\n{}\n".format)
+_ANY_REPLY = (
+    _COMPLETE_REPLY
+    | st.text(alphabet=st.sampled_from("()satunkowdefi \n-/01.xb"), max_size=40)
+    | st.tuples(_COMPLETE_REPLY, st.integers(0, 80)).map(lambda t: t[0][: t[1]])
+)
+FUZZED = "a :- |x > 0|.\n{b}.\n:- not a, not b.\n"
+
+
+class TestSolverOutputFuzz:
+    """Whatever a solver answers, the CLI ends with an answer status or the
+    solver error code, never with an uncaught exception."""
+
+    solver = (
+        "import json, sys\n"
+        "replies = json.load(open(sys.argv[1]))\n"
+        "for line in sys.stdin:\n"
+        "    if line.strip() == '(get-model)':\n"
+        "        sys.stdout.write(replies.pop(0))\n"
+        "        sys.stdout.flush()\n"
+        "        if not replies:\n"
+        "            break\n"
+    )
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(_COMPLETE_REPLY, max_size=2),
+        _ANY_REPLY,
+        st.sampled_from(
+            [
+                [],
+                ["--enumerate", "0"],
+                ["--enumerate", "2", "--logic", "lra"],
+                ["--extended"],
+                ["--extended", "--var-box", "-1", "1", "--enumerate", "0"],
+            ]
+        ),
+    )
+    def test_cli_exits_with_an_answer_or_a_solver_error(self, complete, last, args):
+        """The fake answers the n-th ``(get-model)`` with the n-th reply and
+        exits after the last, which alone may be cut short, so no check waits
+        for output that never comes."""
+        with tempfile.TemporaryDirectory() as tmp:
+            directory = Path(tmp)
+            (directory / "p.lp").write_text(FUZZED)
+            (directory / "solver.py").write_text(self.solver)
+            (directory / "replies.json").write_text(json.dumps([*complete, last]))
+            solver = f"{sys.executable} {directory / 'solver.py'} {directory / 'replies.json'}"
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main([str(directory / "p.lp"), "--solver", solver, *args])
+        assert code in (cli.EXIT_SAT, cli.EXIT_UNSAT, cli.EXIT_UNKNOWN, cli.EXIT_SOLVER_ERROR)
+        assert "Traceback" not in out.getvalue() + err.getvalue()
+        if code == cli.EXIT_SOLVER_ERROR:
+            assert err.getvalue().startswith("casp2smt: solver error: ")
 
 
 def replying_solver(directory, replies) -> str:

@@ -18,7 +18,7 @@ from casp2smt.program import (
 )
 
 from .conftest import families, names
-from .randprog import random_cas_program, random_program
+from .randprog import random_cas_program, random_program, random_subset, random_tight_program
 from .semantics import powerset, reduct, satisfies_rule
 
 a, b_, switch, light, am = map(atom, ("a", "b", "switch", "lightOn", "am"))
@@ -100,9 +100,24 @@ class TestAnswerSets:
         assert input_answer_sets(P("a :- b.\nb :- a.\n")) == [frozenset()]
 
     def test_cap(self):
-        p = P("".join(f"a{i}.\n" for i in range(ORACLE_CAP + 1)))
+        p = P("".join(f"{{a{i}}}.\n" for i in range(ORACLE_CAP + 1)))
         with pytest.raises(OracleCapExceeded):
             input_answer_sets(p)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "".join(f"a{i}.\n" for i in range(ORACLE_CAP + 1)),
+            "a0.\n" + "".join(f"a{i + 1} :- a{i}.\n" for i in range(3 * ORACLE_CAP)),
+        ],
+        ids=["facts", "chain"],
+    )
+    def test_atoms_that_are_not_guessed_do_not_count_toward_the_cap(self, text):
+        """Only atoms under ``not`` or ``not not`` and input atoms are
+        guessed, so a positive program of any size has its one answer set."""
+        p = P(text)
+        assert len(p.atoms) > ORACLE_CAP
+        assert input_answer_sets(p) == [frozenset(p.atoms)]
 
     def test_every_answer_set_is_a_model(self):
         rng = random.Random(11)
@@ -136,6 +151,22 @@ class TestInputAnswerSets:
             p = random_program(rng)
             expected = {x for x in powerset(p.atoms) if is_minimal_model_of_reduct(p, x)}
             assert set(input_answer_sets(p, frozenset())) == expected
+
+    def test_matches_the_definition_over_every_subset(self):
+        """The guessing enumerator gives the list of the definition applied to
+        every subset of the atoms, order included, for no input atoms, the
+        constraint atoms, and a random set of atoms that head no rule."""
+        rng = random.Random(19)
+        generators = (random_program, random_tight_program, random_cas_program)
+        for i in range(900):
+            p = generators[i % 3](rng)
+            iota = (
+                frozenset(),
+                p.irregular_atoms,
+                random_subset(rng, [x for x in p.atoms if x not in heads(p)]),
+            )[i // 3 % 3]
+            expected = [x for x in powerset(p.atoms) if is_input_answer_set(p, x, iota)]
+            assert input_answer_sets(p, iota) == expected
 
     def test_head_in_input_is_rejected(self, acp_text):
         with pytest.raises(HeadsIntersectInput):
