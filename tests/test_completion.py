@@ -4,7 +4,20 @@ import pytest
 
 from casp2smt.completion import bodies_of, input_completion, rule_implication
 from casp2smt.errors import HeadsIntersectInput
-from casp2smt.formula import And, Atom, BOTTOM, Implies, Not, conj, disj, implies, to_clauses
+from casp2smt.formula import (
+    And,
+    Atom,
+    BOTTOM,
+    Const,
+    Implies,
+    Not,
+    Or,
+    PropFormula,
+    conj,
+    disj,
+    implies,
+    to_clauses,
+)
 from casp2smt.parser import parse_program
 from casp2smt.program import Program, atom
 
@@ -126,6 +139,35 @@ class TestClausification:
             assert projected == set(models_of(f, p.atoms))
             # full definitional clauses: every source model extends uniquely
             assert len(clause_models(cs, p.atoms)) == len(models_of(f, p.atoms))
+
+    def test_negation_of_every_node_type_round_trips(self):
+        rng = random.Random(41)
+        vocab = [atom(n) for n in "pqrs"]
+        kinds = ("atom", "const", "not", "and", "or", "implies")
+
+        def formula(depth: int) -> PropFormula:
+            kind = rng.choice(kinds if depth else kinds[:2])
+            if kind == "atom":
+                return Atom(rng.choice(vocab))
+            if kind == "const":
+                return Const(rng.random() < 0.5)
+            if kind == "not":
+                return Not(formula(depth - 1))
+            if kind == "implies":
+                return Implies(formula(depth - 1), formula(depth - 1))
+            args = tuple(formula(depth - 1) for _ in range(rng.randint(1, 3)))
+            return And(args) if kind == "and" else Or(args)
+
+        negated = set()
+        for _ in range(150):
+            f = Not(formula(rng.randint(0, 2)))  # depth at most 3
+            negated.add(type(f.arg))
+            cs = to_clauses(f)
+            projected = {project_model(m, cs) for m in clause_models(cs, vocab)}
+            assert projected == set(models_of(f, vocab))
+            assert len(clause_models(cs, vocab)) == len(models_of(f, vocab))
+        # the negation of every node type was clausified
+        assert negated == {Atom, Const, Not, And, Or, Implies}
 
     def test_project_requires_a_model(self):
         cs = to_clauses(Atom(a))
