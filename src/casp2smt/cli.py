@@ -12,8 +12,9 @@ exit codes:
       check rejects its model, such as one with a non-integer value over
       QF_LIA, a value outside --var-box or an answer set it already gave
   13  any other error, such as a program file that cannot be read or is
-      not UTF-8, an --emit-smtlib file that cannot be written, or more
-      guessed atoms than the oracle enumerates
+      not UTF-8, an --emit-smtlib file that cannot be written, more
+      guessed atoms than the oracle enumerates, or a standard output that
+      closes before the answers are written, as under | head -1
 
 solver: --solver starts one process per enumeration and writes it the script,
 then one blocking assertion per further answer set, each followed by (check-sat)
@@ -25,6 +26,7 @@ Each check may take 60 s; one that runs out is UNKNOWN.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -185,8 +187,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"casp2smt: {exc}", file=sys.stderr)
         return EXIT_OTHER_ERROR
     output = render_report(report, args.format)
-    if output:
-        print(output)
+    try:
+        if output:
+            print(output)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone: what is still buffered goes to devnull, so the
+        # interpreter's final flush does not fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_OTHER_ERROR
     return {
         Status.SAT: EXIT_SAT,
         Status.UNSAT: EXIT_UNSAT,

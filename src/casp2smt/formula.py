@@ -52,42 +52,32 @@ TOP = Const(True)
 BOTTOM = Const(False)
 
 
-def conj(args: Iterable[PropFormula]) -> PropFormula:
-    """n-ary conjunction with constant folding and flattening."""
+def _fold(op: type, unit: Const, zero: Const, args: Iterable[PropFormula]) -> PropFormula:
+    """n-ary ``op`` with constant folding and flattening: the unit drops out,
+    the zero absorbs, nested ``op`` nodes are spliced in."""
     flat: list[PropFormula] = []
     for f in args:
-        if f == TOP:
+        if f == unit:
             continue
-        if f == BOTTOM:
-            return BOTTOM
-        if isinstance(f, And):
+        if f == zero:
+            return zero
+        if isinstance(f, op):
             flat.extend(f.args)
         else:
             flat.append(f)
     if not flat:
-        return TOP
-    if len(flat) == 1:
-        return flat[0]
-    return And(tuple(flat))
+        return unit
+    return flat[0] if len(flat) == 1 else op(tuple(flat))
+
+
+def conj(args: Iterable[PropFormula]) -> PropFormula:
+    """n-ary conjunction with constant folding and flattening."""
+    return _fold(And, TOP, BOTTOM, args)
 
 
 def disj(args: Iterable[PropFormula]) -> PropFormula:
     """n-ary disjunction with constant folding and flattening."""
-    flat: list[PropFormula] = []
-    for f in args:
-        if f == BOTTOM:
-            continue
-        if f == TOP:
-            return TOP
-        if isinstance(f, Or):
-            flat.extend(f.args)
-        else:
-            flat.append(f)
-    if not flat:
-        return BOTTOM
-    if len(flat) == 1:
-        return flat[0]
-    return Or(tuple(flat))
+    return _fold(Or, BOTTOM, TOP, args)
 
 
 def implies(lhs: PropFormula, rhs: PropFormula) -> PropFormula:
@@ -126,33 +116,20 @@ class ClauseSet:
         return frozenset(a for clause in self.clauses for a, _ in clause)
 
 
-def _nnf(f: PropFormula) -> PropFormula:
-    if isinstance(f, (Atom, Const)):
-        return f
-    if isinstance(f, Not):
-        return _nnf_neg(f.arg)
-    if isinstance(f, And):
-        return conj(_nnf(g) for g in f.args)
-    if isinstance(f, Or):
-        return disj(_nnf(g) for g in f.args)
-    if isinstance(f, Implies):
-        return disj((_nnf_neg(f.lhs), _nnf(f.rhs)))
-    raise TypeError(f"not a formula node: {f!r}")
-
-
-def _nnf_neg(f: PropFormula) -> PropFormula:
+def _nnf(f: PropFormula, negated: bool = False) -> PropFormula:
+    """Negation normal form of f, or of its negation when ``negated``; De
+    Morgan swaps the connective and pushes the negation into the arguments."""
     if isinstance(f, Atom):
-        return Not(f)
+        return Not(f) if negated else f
     if isinstance(f, Const):
-        return Const(not f.value)
+        return Const(f.value != negated)
     if isinstance(f, Not):
-        return _nnf(f.arg)
-    if isinstance(f, And):
-        return disj(_nnf_neg(g) for g in f.args)
-    if isinstance(f, Or):
-        return conj(_nnf_neg(g) for g in f.args)
+        return _nnf(f.arg, not negated)
     if isinstance(f, Implies):
-        return conj((_nnf(f.lhs), _nnf_neg(f.rhs)))
+        return _nnf(Or((Not(f.lhs), f.rhs)), negated)
+    if isinstance(f, (And, Or)):
+        fold = conj if isinstance(f, And) != negated else disj
+        return fold(_nnf(g, negated) for g in f.args)
     raise TypeError(f"not a formula node: {f!r}")
 
 

@@ -17,7 +17,7 @@ from . import lincon
 from .completion import input_completion
 from .errors import InconsistentConfig, NotTight, SolverProtocolError, SolverSpawnFailure
 from .formula import conj, to_clauses
-from .lincon import LexiconKind, LinearConstraint, negate
+from .lincon import LexiconKind, LinearConstraint, constraint_variables, negate
 from .program import AtomId, Program, is_input_answer_set, is_tight
 from .ranking import build_ranking_formula
 from .smtlib import SmtScript, SolverSession, Status, block_model, decode, emit_script, run_solver
@@ -146,8 +146,7 @@ def _encode(p: Program, cfg: SolveConfig, use_ranking: bool) -> SmtScript:
     formula = input_completion(p, sigma_i)
     bounds = {}
     if cfg.var_box is not None:
-        variables = {v for a in sigma_i for v in a.constraint.variables}
-        bounds = dict.fromkeys(sorted(variables), cfg.var_box)
+        bounds = dict.fromkeys(constraint_variables(a.constraint for a in sigma_i), cfg.var_box)
     if use_ranking:
         ranking = build_ranking_formula(p, sigma_i, full=cfg.ranking_full)
         formula = conj([formula, ranking.formula])

@@ -7,8 +7,10 @@ map from irregular atoms to constraints.
 This module is the semantics oracle of the package: answer sets are computed
 directly from the definition (reduct plus least fixpoint of the positive
 remainder). Only the atoms the reduct and the input facts read are guessed:
-the input atoms and the atoms under ``not`` or ``not not``. Exhaustive
-enumeration of the guesses is capped at :data:`ORACLE_CAP` guessed atoms.
+the input atoms and the atoms under ``not`` or ``not not``. A guess fixes
+the reduct and the facts, so its least model, when it agrees with the
+guess, is an answer set with no second check. Exhaustive enumeration of the
+guesses is capped at :data:`ORACLE_CAP` guessed atoms.
 """
 
 from __future__ import annotations
@@ -131,24 +133,13 @@ def require_heads_outside_input(p: Program, iota: AbstractSet[AtomId]) -> None:
         )
 
 
-def _reduct_pairs(
-    rules: Iterable[Rule], x: AbstractSet[AtomId]
-) -> list[tuple[Optional[AtomId], frozenset[AtomId]]]:
-    """Head and positive body of each rule that survives the reduct by x."""
-    return [
-        (r.head, r.pos) for r in rules if not (r.neg & x) and r.dneg <= x
-    ]
-
-
-def _least_model(
-    pairs: Iterable[tuple[Optional[AtomId], frozenset[AtomId]]]
+def _reduct_model(
+    p: Program, x: AbstractSet[AtomId], iota: AbstractSet[AtomId]
 ) -> tuple[frozenset[AtomId], bool]:
-    """Least fixpoint of the one-step operator of a positive program.
-
-    Returns the fixpoint and whether a denial fired along the way.
-    """
-    pairs = list(pairs)
-    derived: set[AtomId] = set()
+    """Least model of the reduct of p by x, with x's input atoms as facts,
+    and whether a denial of the reduct fires in it."""
+    pairs = [(r.head, r.pos) for r in p.rules if not (r.neg & x) and r.dneg <= x]
+    derived = set(x & iota)
     bottom = False
     changed = True
     while changed:
@@ -169,8 +160,7 @@ def is_input_answer_set(
     """x is an input answer set iff, with x's input part added back as facts,
     it equals the least model of the reduct and no denial of the reduct
     fires. With no input atoms this is the plain answer-set test."""
-    pairs = _reduct_pairs(p.rules, x) + [(a, frozenset()) for a in x & iota]
-    fixpoint, bottom = _least_model(pairs)
+    fixpoint, bottom = _reduct_model(p, x, iota)
     return not bottom and fixpoint == frozenset(x)
 
 
@@ -193,19 +183,20 @@ def input_answer_sets(
     vectors. With no input atoms these are the plain answer sets.
 
     The reduct reads x only through the atoms under ``not`` or ``not not``,
-    and the facts only through x's input atoms, so x is fixed by its part g
-    on these guessed atoms: it is the least model of the reduct by g with
-    g's input atoms as facts. Each guess g is kept when that least model
-    agrees with g on the guessed atoms and passes
-    :func:`is_input_answer_set`."""
+    and the facts only through x's input atoms; call these the guessed atoms
+    G. When x agrees with a guess g on G, the reduct by x is the reduct by g
+    and x's input atoms are g's, so both have one least model. Each guess g
+    is therefore kept when its least model x has no firing denial and
+    agrees with g on G: then x is the least model of its own reduct, which
+    is what :func:`is_input_answer_set` would check again. Every input
+    answer set x is found this way, from the guess x & G."""
     require_heads_outside_input(p, iota)
     guessed = {a for a in p.atoms if a in iota}
     guessed.update(a for r in p.rules for a in r.neg | r.dneg)
     found = []
     for g in subsets(guessed):
-        pairs = _reduct_pairs(p.rules, g) + [(a, frozenset()) for a in g & iota]
-        x, bottom = _least_model(pairs)
-        if not bottom and x & guessed == g and is_input_answer_set(p, x, iota):
+        x, bottom = _reduct_model(p, g, iota)
+        if not bottom and x & guessed == g:
             found.append(x)
     order = sorted(p.atoms)
     return sorted(found, key=lambda x: [a in x for a in order])

@@ -75,6 +75,11 @@ def render_number(value: Union[int, Fraction], int_sort: bool) -> str:
     return text if value >= 0 else f"(- {text})"
 
 
+def _nary(op: str, args: Sequence[str]) -> str:
+    """One argument as it is, several under the operator."""
+    return args[0] if len(args) == 1 else f"({op} {' '.join(args)})"
+
+
 def render_expr(c: LinearConstraint, int_sort: bool, symbols: Mapping[str, str]) -> str:
     terms = []
     for name, coeff in c.expr.terms:
@@ -82,9 +87,7 @@ def render_expr(c: LinearConstraint, int_sort: bool, symbols: Mapping[str, str])
             terms.append(symbols[name])
         else:
             terms.append(f"(* {render_number(coeff, int_sort)} {symbols[name]})")
-    if len(terms) == 1:
-        return terms[0]
-    return f"(+ {' '.join(terms)})"
+    return _nary("+", terms)
 
 
 def render_theory_atom(c: LinearConstraint, int_sort: bool, symbols: Mapping[str, str]) -> str:
@@ -166,9 +169,7 @@ def _clause_assert(clause, table: Mapping[AtomId, str]) -> str:
     if not clause:
         return "(assert false)"
     lits = [table[a] if sign else f"(not {table[a]})" for a, sign in clause]
-    if len(lits) == 1:
-        return f"(assert {lits[0]})"
-    return f"(assert (or {' '.join(lits)}))"
+    return f"(assert {_nary('or', lits)})"
 
 
 class Status(enum.Enum):
@@ -423,12 +424,7 @@ def block_model(s: SmtScript, scope: AbstractSet[AtomId], x: AbstractSet[AtomId]
     blocking goes by atoms only, so the next check finds another answer set.
     An empty scope blocks everything, ending enumeration."""
     lits = [symbol if a in x else f"(not {symbol})" for a, symbol in s.atom_symbols if a in scope]
-    if not lits:
-        blocking = "(assert false)"
-    elif len(lits) == 1:
-        blocking = f"(assert (not {lits[0]}))"
-    else:
-        blocking = f"(assert (not (and {' '.join(lits)})))"
+    blocking = f"(assert (not {_nary('and', lits)}))" if lits else "(assert false)"
     return replace(s, asserts=s.asserts + (blocking,))
 
 

@@ -3,6 +3,7 @@ import io
 import json
 import os
 import random
+import subprocess
 import sys
 import tempfile
 from dataclasses import replace
@@ -701,6 +702,29 @@ class TestBadInput:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("casp2smt: ") and str(target) in captured.err
+
+
+    @pytest.mark.parametrize("enumerate_", ["0", "1"], ids=["long-output", "short-output"])
+    def test_closed_stdout_exits_without_a_traceback(self, tmp_path, enumerate_):
+        program = tmp_path / "ten.lp"
+        program.write_text("".join(f"{{a{i}}}.\n" for i in range(10)))
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        env.pop("PYTHONUNBUFFERED", None)  # short output then fails only at exit
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "casp2smt.cli", str(program), "--oracle", "--enumerate", enumerate_],
+                stdout=write,
+                stderr=subprocess.PIPE,
+                env=env,
+                timeout=60,
+            )
+        finally:
+            os.close(write)
+        stderr = proc.stderr.decode()
+        assert proc.returncode == cli.EXIT_OTHER_ERROR, stderr
+        assert "Traceback" not in stderr and "Exception ignored" not in stderr
 
 
 def cli_answers(capsys, args) -> tuple[int, set[str]]:
