@@ -14,7 +14,7 @@ exit codes:
   13  any other error, such as a program file that cannot be read or is
       not UTF-8, an --emit-smtlib file that cannot be written, more
       guessed atoms than the oracle enumerates, or a standard output that
-      closes before the answers are written, as under | head -1
+      closes before the answers or the help are written, as under | head -1
 
 solver: --solver starts one process per enumeration and writes it the script,
 then one blocking assertion per further answer set, each followed by (check-sat)
@@ -119,18 +119,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
         f"in {list(DEFAULT_ORACLE_BOX)}",
     )
     parser.add_argument(
-        "--ranking",
-        choices=["skip", "full"],
-        default="skip",
-        help="'full' emits a ranking implication for every non-input atom "
-        "instead of skipping the ones the completion already covers",
-    )
-    parser.add_argument(
-        "--bound-ranks",
-        action="store_true",
-        help="also assert 0 <= rank <= |atoms| for every rank variable",
-    )
-    parser.add_argument(
         "--emit-smtlib",
         metavar="PATH",
         help="write the generated SMT-LIB 2 script to PATH",
@@ -156,12 +144,27 @@ def config_from_args(args: argparse.Namespace) -> SolveConfig:
         oracle_only=args.oracle,
         solver_cmd=args.solver,
         emit_path=args.emit_smtlib,
-        ranking_full=args.ranking == "full",
-        bound_ranks=args.bound_ranks,
     )
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    try:
+        code = _run(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone: what is still buffered goes to devnull, so the
+        # interpreter's final flush does not fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_OTHER_ERROR
+    return code
+
+
+def _run(argv: Optional[Sequence[str]]) -> int:
+    """Parse the arguments, solve and print the report; returns the exit
+    code. Whatever it writes to standard output, the help included, may
+    raise :class:`BrokenPipeError`, which :func:`main` handles."""
     try:
         args = build_arg_parser().parse_args(argv)
     except SystemExit as exc:  # 0 after --help, 2 (here UNKNOWN) on a usage error
@@ -187,17 +190,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"casp2smt: {exc}", file=sys.stderr)
         return EXIT_OTHER_ERROR
     output = render_report(report, args.format)
-    try:
-        if output:
-            print(output)
-        sys.stdout.flush()
-    except BrokenPipeError:
-        # the reader is gone: what is still buffered goes to devnull, so the
-        # interpreter's final flush does not fail again
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-        return EXIT_OTHER_ERROR
+    if output:
+        print(output)
     return {
         Status.SAT: EXIT_SAT,
         Status.UNSAT: EXIT_UNSAT,

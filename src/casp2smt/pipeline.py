@@ -50,8 +50,6 @@ class SolveConfig:
     oracle_only: bool = False
     solver_cmd: Optional[str] = None
     emit_path: Optional[Union[str, Path]] = None
-    ranking_full: bool = False
-    bound_ranks: bool = False
     timeout: float = 60.0
 
 
@@ -148,10 +146,7 @@ def _encode(p: Program, cfg: SolveConfig, use_ranking: bool) -> SmtScript:
     if cfg.var_box is not None:
         bounds = dict.fromkeys(constraint_variables(a.constraint for a in sigma_i), cfg.var_box)
     if use_ranking:
-        ranking = build_ranking_formula(p, sigma_i, full=cfg.ranking_full)
-        formula = conj([formula, ranking.formula])
-        if cfg.bound_ranks:
-            bounds.update(dict.fromkeys(sorted(ranking.rank_vars), (0, len(p.atoms))))
+        formula = conj([formula, build_ranking_formula(p, sigma_i).formula])
     return emit_script(to_clauses(formula, (a.name for a in p.atoms)), cfg.logic, bounds)
 
 

@@ -43,18 +43,14 @@ class RankingFormula:
     rank_vars: frozenset[str]
 
 
-def build_ranking_formula(
-    p: Program,
-    iota: AbstractSet[AtomId],
-    full: bool = False,
-) -> RankingFormula:
+def build_ranking_formula(p: Program, iota: AbstractSet[AtomId]) -> RankingFormula:
     """For each atom, require some satisfied body whose positive non-input
     atoms rank strictly lower, phrased with one fresh constraint atom per
     ordered atom pair.
 
-    By default atoms whose bodies all have an empty positive non-input part
-    are skipped; their implications repeat the completion's support formula.
-    With ``full=True`` every non-input atom gets its implication.
+    Atoms whose bodies all have an empty positive non-input part are
+    skipped: their implications would repeat the completion's support
+    formula.
     """
     require_heads_outside_input(p, iota)
     var_names: dict[AtomId, str] = {}
@@ -83,7 +79,7 @@ def build_ranking_formula(
         bodies = p.rules_by_head.get(a, ())
         recursive = [r for r in bodies if r.pos - iota]
         flat = [r for r in bodies if not (r.pos - iota)]
-        if not recursive and not full:
+        if not recursive:
             continue
         choices: list[PropFormula] = []
         for r in recursive:

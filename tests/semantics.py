@@ -3,19 +3,35 @@
 The package runs the input completion, the ranking formula and the
 polynomial answer-set test; the other characterisations of answer sets live
 here and check it: formula and clause models by enumeration, the reduct as
-a program, classical satisfaction of rules, level-ranking checkers, and the
-models of a formula whose constraint atoms induce a solvable problem. Each
-is written from its definition without calling the code it checks.
+a program, classical satisfaction of rules, level-ranking checkers, the
+paper's literal ranking formula, and the models of a formula whose
+constraint atoms induce a solvable problem. Each is written from its
+definition without calling the code it checks.
 """
 
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 from typing import AbstractSet, Iterable, Iterator, Mapping, Optional, Tuple
 
-from casp2smt.formula import And, Atom, ClauseSet, Const, Implies, Not, Or, PropFormula
-from casp2smt.lincon import gcsp_solve_bounded, negate
-from casp2smt.program import AtomId, Program, Rule, require_heads_outside_input
+from casp2smt.completion import body_formula
+from casp2smt.formula import (
+    And,
+    Atom,
+    ClauseSet,
+    Const,
+    Implies,
+    Not,
+    Or,
+    PropFormula,
+    conj,
+    disj,
+    implies,
+)
+from casp2smt.lincon import LinearConstraint, LinExpr, Rel, constraint_variables, gcsp_solve_bounded, negate
+from casp2smt.program import AtomId, Program, Rule, constraint_atom, require_heads_outside_input
+from casp2smt.ranking import fresh_rank_var
 
 
 class NotAModel(Exception):
@@ -164,6 +180,38 @@ def find_level_ranking(
     if set(levels) == target:
         return levels
     return None
+
+
+def literal_ranking_formula(p: Program, iota: AbstractSet[AtomId]) -> PropFormula:
+    """The level-ranking formula as the paper states it, with an implication
+    for every non-input atom a: a implies some body of a that holds, each
+    body conjoined with the atom ``lr_a - lr_b >= 1`` for every positive
+    non-input atom b in it. Bodies with a positive non-input atom come first,
+    then the others, each group in rule order; a body with a itself among
+    its positive atoms can never support a and is left out. Rank variables
+    get the package's names, in order of first use, so the pair atoms are
+    the ones the package makes."""
+    require_heads_outside_input(p, iota)
+    used = set(constraint_variables(a.constraint for a in p.irregular_atoms))
+    names: dict[AtomId, str] = {}
+
+    def pair(a: AtomId, b: AtomId) -> PropFormula:
+        for v in (a, b):
+            if v not in names:
+                names[v] = fresh_rank_var(v, used)
+        expr = LinExpr.of({names[a]: 1, names[b]: -1})
+        return Atom(constraint_atom(LinearConstraint(expr, Rel.GE, Fraction(1))))
+
+    conjuncts = []
+    for a in sorted(p.atoms):
+        if a in iota:
+            continue
+        bodies = p.rules_by_head.get(a, ())
+        recursive = [r for r in bodies if r.pos - iota and a not in r.pos]
+        choices = [conj([body_formula(r)] + [pair(a, b) for b in sorted(r.pos - iota)]) for r in recursive]
+        choices += [body_formula(r) for r in bodies if not (r.pos - iota)]
+        conjuncts.append(implies(Atom(a), disj(choices)))
+    return conj(conjuncts)
 
 
 # --- constraint programs -----------------------------------------------------

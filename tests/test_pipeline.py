@@ -308,28 +308,42 @@ def _lookalikes() -> dict[str, Program]:
 GENERATED_LOOKALIKES = _lookalikes()
 
 
-def stalling_solver(directory) -> str:
-    """A fake solver that answers its first check with a model where only
-    ``a`` holds, then sleeps past any short timeout on every later check.
-    It answers each ``(get-model)`` line as it reads it, from stdin or, with
-    a ``{file}`` argument appended, from the file, one process per check."""
+CHOICES = "{a}.\n{b}.\n"
+
+# the answer sets of CHOICES, in the order the stalling solver reports them
+CHOICE_ANSWERS = [{"a"}, {"a", "b"}, {"b"}, set()]
+
+
+def choices_model(x) -> str:
+    """The solver's reply to a check of CHOICES whose answer is x."""
+    return "sat\n(model (define-fun a () Bool {}) (define-fun b () Bool {}))".format(
+        str("a" in x).lower(), str("b" in x).lower()
+    )
+
+
+def stalling_solver(directory, stall_at: int = 1) -> str:
+    """A fake solver for CHOICES that writes its pid to ``pid`` and answers
+    the checks before check ``stall_at`` (counted from 0 over all its
+    processes) with the answer sets of CHOICE_ANSWERS in turn, then unsat;
+    at check ``stall_at`` and after it sleeps past any short timeout. It
+    answers each ``(get-model)`` line as it reads it, from stdin or, with a
+    ``{file}`` argument appended, from the file, one process per check."""
     path = directory / "stalling_solver.py"
+    replies = [choices_model(x) for x in CHOICE_ANSWERS] + ["unsat"]
     path.write_text(
-        "import pathlib, sys, time\n"
-        f"mark = pathlib.Path({str(directory / 'called')!r})\n"
+        "import os, pathlib, sys, time\n"
+        f"pathlib.Path({str(directory / 'pid')!r}).write_text(str(os.getpid()))\n"
+        f"calls = pathlib.Path({str(directory / 'calls')!r})\n"
         "for line in open(sys.argv[1]) if sys.argv[1:] else sys.stdin:\n"
         "    if line.strip() != '(get-model)':\n"
         "        continue\n"
-        "    if mark.exists():\n"
+        "    n = len(calls.read_text()) if calls.exists() else 0\n"
+        "    calls.write_text('.' * (n + 1))\n"
+        f"    if n >= {stall_at}:\n"
         "        time.sleep(30)\n"
-        "    mark.touch()\n"
-        "    print('sat')\n"
-        "    print('(model (define-fun a () Bool true))', flush=True)\n"
+        f"    print({replies!r}[min(n, {len(replies) - 1})], flush=True)\n"
     )
     return f"{sys.executable} {path}"
-
-
-CHOICES = "{a}.\n{b}.\n"
 
 
 class TestPartialEnumeration:
@@ -360,6 +374,30 @@ class TestPartialEnumerationOverFile(TestPartialEnumeration):
     @staticmethod
     def solver(directory) -> str:
         return stalling_solver(directory) + " {file}"
+
+
+class TestTimeoutFuzz:
+    """A solver that stalls at a drawn check gives UNKNOWN exactly when the
+    stall comes before the enumeration ends, keeps the answers found before
+    it, and leaves no process behind."""
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.integers(0, 5), st.integers(0, 5), st.booleans())
+    def test_stall_at_a_drawn_check(self, stall_at, enumerate_, over_file):
+        # all four answer sets and the final unsat take five checks
+        checks = min(enumerate_ or 5, 5)
+        with tempfile.TemporaryDirectory() as tmp:
+            directory = Path(tmp)
+            cmd = stalling_solver(directory, stall_at) + (" {file}" if over_file else "")
+            cfg = SolveConfig(solver_cmd=cmd, enumerate=enumerate_, timeout=0.5)
+            report = solve(parse_program(CHOICES), cfg)
+            TestNoSolverOutlivesSolve.assert_gone(directory)
+        stalled = stall_at < checks
+        assert report.status is (Status.UNKNOWN if stalled else Status.SAT)
+        kept = stall_at if stalled else min(checks, len(CHOICE_ANSWERS))
+        assert [r.atom_set for r in report.results] == [
+            {atom(n) for n in x} for x in CHOICE_ANSWERS[:kept]
+        ]
 
 
 # a model of "a :- |x > 0|. :- not a." but for x, which is no integer
@@ -639,13 +677,7 @@ class TestSessionProtocol:
         return reads
 
     def replies(self) -> list[str]:
-        models = [
-            "sat\n(model (define-fun a () Bool {}) (define-fun b () Bool {}))".format(
-                str("a" in x).lower(), str("b" in x).lower()
-            )
-            for x in self.ANSWERS
-        ]
-        return models + ["unsat"]
+        return [choices_model(x) for x in self.ANSWERS] + ["unsat"]
 
     @pytest.mark.parametrize("k", [0, 2])
     def test_reads(self, tmp_path, k):
@@ -704,8 +736,12 @@ class TestBadInput:
         assert captured.err.startswith("casp2smt: ") and str(target) in captured.err
 
 
-    @pytest.mark.parametrize("enumerate_", ["0", "1"], ids=["long-output", "short-output"])
-    def test_closed_stdout_exits_without_a_traceback(self, tmp_path, enumerate_):
+    @pytest.mark.parametrize(
+        "args",
+        [["--oracle", "--enumerate", "0"], ["--oracle", "--enumerate", "1"], ["--help"]],
+        ids=["long-output", "short-output", "help"],
+    )
+    def test_closed_stdout_exits_without_a_traceback(self, tmp_path, args):
         program = tmp_path / "ten.lp"
         program.write_text("".join(f"{{a{i}}}.\n" for i in range(10)))
         env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
@@ -714,7 +750,7 @@ class TestBadInput:
         os.close(read)
         try:
             proc = subprocess.run(
-                [sys.executable, "-m", "casp2smt.cli", str(program), "--oracle", "--enumerate", enumerate_],
+                [sys.executable, "-m", "casp2smt.cli", str(program), *args],
                 stdout=write,
                 stderr=subprocess.PIPE,
                 env=env,

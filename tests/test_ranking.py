@@ -6,24 +6,25 @@ import pytest
 
 from casp2smt.completion import input_completion
 from casp2smt.errors import HeadsIntersectInput, RankVarForIrregular
-from casp2smt.formula import Atom, And, Implies, Not, Or, TOP
+from casp2smt.formula import Atom, And, Implies, Not, Or, TOP, conj, to_clauses
 from casp2smt.lincon import LinearConstraint, LinExpr, Rel, negate
 from casp2smt.lincon import gcsp_solve_bounded
 from casp2smt.parser import parse_program
 from casp2smt.program import atom, constraint_atom, heads, input_answer_sets, is_input_answer_set
 from casp2smt.ranking import build_ranking_formula, fresh_rank_var
 
-from .randprog import random_program, random_subset
+from .randprog import random_cas_program, random_program, random_subset
 from .semantics import (
     PartialRanking,
     check_input_level_ranking,
     eval_formula,
     find_level_ranking,
+    literal_ranking_formula,
     models_of,
 )
 from .test_script_bytes import RING12
 
-a, b_, c_, switch, light, am = map(atom, ("a", "b", "c", "switch", "lightOn", "am"))
+a, b_, switch, light, am = map(atom, ("a", "b", "switch", "lightOn", "am"))
 
 
 def brute_force_ranking_exists(p, x, iota=frozenset()):
@@ -205,11 +206,29 @@ class TestBuildRankingFormula:
         assert rf.formula == TOP
         assert rf.ranking_atoms == ()
 
-    def test_full_mode_emits_support_shaped_implications_too(self):
-        p = parse_program("a :- b.\nb :- a.\n{c}.\na :- c.\n")
-        rf = build_ranking_formula(p, frozenset(), full=True)
-        lhs_atoms = {f.lhs.atom for f in rf.formula.args}
-        assert lhs_atoms == {a, b_, c_}
+    def test_skipped_implications_repeat_the_completion(self, pi1_text):
+        """Beside the input completion, the paper's literal ranking formula
+        clausifies to the same clauses and fresh atoms as the package's, which
+        leaves out the atoms with no positive non-input body atom."""
+        rng = random.Random(2008)
+        programs = [parse_program(pi1_text), parse_program(RING12)]
+        programs += [random_cas_program(rng) for _ in range(120)]
+        cases = [(p, p.irregular_atoms) for p in programs]
+        for p in (random_program(rng) for _ in range(120)):
+            cases.append((p, random_subset(rng, set(p.atoms) - heads(p))))
+        # programs whose ranking formula both skips atoms and ranks some
+        skipped_and_ranked = 0
+        for p, iota in cases:
+            completion = input_completion(p, iota)
+            literal = literal_ranking_formula(p, iota)
+            ours = build_ranking_formula(p, iota).formula
+            taken = [a.name for a in p.atoms]
+            want = to_clauses(conj([completion, literal]), taken)
+            got = to_clauses(conj([completion, ours]), taken)
+            assert set(got.clauses) == set(want.clauses)
+            assert got.fresh_atoms == want.fresh_atoms
+            skipped_and_ranked += literal != ours and ours != TOP
+        assert skipped_and_ranked >= 150
 
     def test_ranking_constraints_have_difference_shape(self):
         p = parse_program("a :- b.\nb :- a.\n{c}.\na :- c.\n")

@@ -1,14 +1,14 @@
 """Byte-identity gate for the emitted SMT-LIB.
 
 The SHA-256 of the script ``solve`` writes is pinned for the paper's program
-PI1 and for a reachability ring with chords: over QF_LIA by mode and ranking
-variant, and over QF_LRA, under a variable box and with bounded rank
-variables. A third, non-tight program pins multivariate constraints over
-QF_LIA and QF_LRA, and one digest covers the scripts of random programs in
-every configuration. Last, one digest per configuration covers every script
-the solver is sent while a stand-in answers with the oracle's answer sets,
-blocking assertions included. A change that sets out to alter the encoding updates these pins
-and says so; any other change must leave them untouched.
+PI1 and for a reachability ring with chords: over QF_LIA by mode, and over
+QF_LRA and under a variable box. A third, non-tight program pins
+multivariate constraints over QF_LIA and QF_LRA, and one digest covers the
+scripts of random programs in every configuration. Last, one digest per
+configuration covers every script the solver is sent while a stand-in
+answers with the oracle's answer sets, blocking assertions included. A
+change that sets out to alter the encoding updates these pins and says so;
+any other change must leave them untouched.
 """
 
 import hashlib
@@ -51,32 +51,25 @@ def ring_text(n: int) -> str:
 RING12 = ring_text(12)
 
 PINS = {
-    ("PI1", Mode.AUTO, False):
+    ("PI1", Mode.AUTO):
         "f41f1a850f75ed6216214074cf2ec228f2832de021dc28a2a769dbfd7f9e3e4d",
-    ("PI1", Mode.FORCE_RANKING, False):
+    ("PI1", Mode.FORCE_RANKING):
         "ece93325ba2c97e90eca804543b706f3a3063f9e070671452cdd0d3686396799",
-    ("PI1", Mode.FORCE_RANKING, True):
-        "14ad164a83e8f20c73316c9478c72622ef7141cf7bfb6472ab8e20cc6e2355f6",
-    ("RING12", Mode.AUTO, False):
+    ("RING12", Mode.AUTO):
         "d33aa008cfaa204f34339631117673038ba281709ab841bbdd5cca3134eedde1",
-    ("RING12", Mode.AUTO, True):
-        "fc244898dd535587b251d43a7c203228dc890ed4822573729c5b8f4cd477c0ff",
 }
 
 # the default configuration with one setting changed
 CONFIG_PINS = {
     ("PI1", "lra"): "a478346bbc75a31993b9f4ced55e3b0edac491dd63b1f19e92efb6020e8fd5ce",
     ("PI1", "box"): "254b81e3bcf15753d2479981b85b7f04b235eda8004288d59af297e69e58e5a7",
-    ("PI1", "bound_ranks"): "a8a41998f2d59f77d50a121f21d80505abcbda07edad64af943613d22aee4469",
     ("RING12", "lra"): "1813b271be87275b5c0e2976879105225f786e4a478f54cb06fb8936fcaa7d83",
     ("RING12", "box"): "ca049cc28fd292ac82ac7eefc3b6171b04d2719a1b832380b604bdded82ccfc3",
-    ("RING12", "bound_ranks"): "b7ec7d51163890043f17ad6016f33ea6234d5c584d8ebae1931bbf3de33bec9a",
 }
 
 CONFIGS = {
     "lra": dict(logic=LexiconKind.REAL_LINEAR),
     "box": dict(var_box=(0, 23)),
-    "bound_ranks": dict(mode=Mode.FORCE_RANKING, bound_ranks=True),
 }
 
 # a positive cycle through p and q; constraints over several variables with
@@ -108,15 +101,12 @@ def stub_solver(tmp_path_factory) -> str:
     return f"{sys.executable} {path}"
 
 
-@pytest.mark.parametrize("name,mode,full", sorted(PINS, key=str))
-def test_script_hash_is_pinned(name, mode, full, stub_solver, tmp_path):
+@pytest.mark.parametrize("name,mode", sorted(PINS, key=str))
+def test_script_hash_is_pinned(name, mode, stub_solver, tmp_path):
     target = tmp_path / "out.smt2"
-    solve(
-        parse_program(TEXTS[name]),
-        SolveConfig(solver_cmd=stub_solver, mode=mode, ranking_full=full, emit_path=target),
-    )
+    solve(parse_program(TEXTS[name]), SolveConfig(solver_cmd=stub_solver, mode=mode, emit_path=target))
     digest = hashlib.sha256(target.read_bytes()).hexdigest()
-    assert digest == PINS[(name, mode, full)]
+    assert digest == PINS[(name, mode)]
 
 
 @pytest.mark.parametrize("name,config", sorted(CONFIG_PINS))
@@ -140,17 +130,14 @@ def test_multivariate_script_hash_is_pinned(logic, stub_solver, tmp_path):
     assert hashlib.sha256(target.read_bytes()).hexdigest() == MIXED_PINS[logic]
 
 
-# one digest over 1,280 scripts: 40 random programs, each read back from its
-# text, in every combination of logic, mode, ranking variant, rank bounds and
-# variable box
-SWEEP_PIN = "93285c8f8453caea101ee07d6944d2006749410151f1ffbb5bf8c4beabc0ebcb"
+# one digest over 320 scripts: 40 random programs, each read back from its
+# text, in every combination of logic, mode and variable box
+SWEEP_PIN = "f2b3d286dfe12d513a3c01f93c6e733532bec126d2b2351c0eebbb099e941e5f"
 
 SWEEP_CONFIGS = [
-    dict(logic=logic, mode=mode, ranking_full=full, bound_ranks=bound, var_box=box)
+    dict(logic=logic, mode=mode, var_box=box)
     for logic in (LexiconKind.INTEGER_LINEAR, LexiconKind.REAL_LINEAR)
     for mode in (Mode.AUTO, Mode.FORCE_RANKING)
-    for full in (False, True)
-    for bound in (False, True)
     for box in (None, (-4, 4))
 ]
 
@@ -168,7 +155,7 @@ def test_random_program_sweep_is_pinned(monkeypatch):
     for p in programs:
         for config in SWEEP_CONFIGS:
             solve(p, SolveConfig(solver_cmd="unused", **config))
-    assert len(scripts) == 1280
+    assert len(scripts) == 320
     digest = hashlib.sha256("".join(scripts).encode()).hexdigest()
     assert digest == SWEEP_PIN
 
@@ -185,8 +172,8 @@ STREAM_CONFIGS = [
         (104, "54f8b3e5ecdaa4d5e3fe0f41677a294f1d51de8d2a84d5d3f74eaaf9609e2c26"),
     ),
     (
-        dict(logic=LexiconKind.REAL_LINEAR, mode=Mode.FORCE_RANKING, bound_ranks=True),
-        (164, "d23f282da103a91fdc4dca35f4b33ca7bd8fbba8acad2923e588e9dd8e194e39"),
+        dict(logic=LexiconKind.REAL_LINEAR, mode=Mode.FORCE_RANKING),
+        (164, "ecb17456407b2937ded7381441647f46075f5ef912213e5f27fbb92f78b05b53"),
     ),
 ]
 
